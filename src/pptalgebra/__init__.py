@@ -7,150 +7,12 @@ squares with the major/minor derivative calculus, and the divisibility
 classes T1..T6.
 """
 
-from .triple_core import (
-    PPT,
-    DivisibilityWitness,
-    InvalidParity,
-    NotATriple,
-    NotPrimitive,
-    TClass,
-    TripleError,
-    altitude_kappa,
-    classify,
-    divisibility_witness,
-    make_ppt,
-)
-from .generators import (
-    KeySequence,
-    Radii,
-    WrongParity,
-    format_fraction,
-    generators_of,
-    key_sequence_from_fraction,
-    key_sequence_of,
-    parse_fraction,
-    parse_key_sequence,
-    proper_fraction,
-    radii,
-    require_proper,
-    triple_from_key,
-    triple_from_primary,
-    triple_from_secondary,
-)
-from .tree import (
-    ROOT,
-    ROOT_GENERATOR,
-    DegenerateIndex,
-    Family,
-    FamilyLine,
-    NotInPrimaryTree,
-    PathCode,
-    PellPair,
-    Root,
-    SecondaryRoot,
-    apply_path,
-    children,
-    derivative_location,
-    derive_generator,
-    enumerate_level,
-    family_generator,
-    family_member,
-    iter_by_hypotenuse,
-    locate,
-    parent,
-    pell,
-    square_triangle_triple,
-    step,
-    walk,
-)
-from .symphonic import (
-    AntiDerivative,
-    DerivativeKind,
-    IntegerSquareScale,
-    QuadraticSurd,
-    SquarePair,
-    anti_derivative,
-    corollary_generators,
-    derivative,
-    factor_class_transition,
-    harmonic_sum,
-    inscribed_squares,
-    integer_square_scale,
-    is_derivative,
-    major_derivative,
-    minor_derivative,
-    reciprocal_triple,
-    trivial_reciprocal_solution,
-)
+from . import generators, symphonic, tree, triple_core
+from .triple_core import *
+from .generators import *
+from .tree import *
+from .symphonic import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PPT",
-    "DivisibilityWitness",
-    "InvalidParity",
-    "NotATriple",
-    "NotPrimitive",
-    "TClass",
-    "TripleError",
-    "altitude_kappa",
-    "classify",
-    "divisibility_witness",
-    "make_ppt",
-    "KeySequence",
-    "Radii",
-    "WrongParity",
-    "format_fraction",
-    "generators_of",
-    "key_sequence_from_fraction",
-    "key_sequence_of",
-    "parse_fraction",
-    "parse_key_sequence",
-    "proper_fraction",
-    "radii",
-    "require_proper",
-    "triple_from_key",
-    "triple_from_primary",
-    "triple_from_secondary",
-    "ROOT",
-    "ROOT_GENERATOR",
-    "DegenerateIndex",
-    "Family",
-    "FamilyLine",
-    "NotInPrimaryTree",
-    "PathCode",
-    "PellPair",
-    "Root",
-    "SecondaryRoot",
-    "apply_path",
-    "children",
-    "derivative_location",
-    "derive_generator",
-    "enumerate_level",
-    "family_generator",
-    "family_member",
-    "iter_by_hypotenuse",
-    "locate",
-    "parent",
-    "pell",
-    "square_triangle_triple",
-    "step",
-    "walk",
-    "AntiDerivative",
-    "DerivativeKind",
-    "IntegerSquareScale",
-    "QuadraticSurd",
-    "SquarePair",
-    "anti_derivative",
-    "corollary_generators",
-    "derivative",
-    "factor_class_transition",
-    "harmonic_sum",
-    "inscribed_squares",
-    "integer_square_scale",
-    "is_derivative",
-    "major_derivative",
-    "minor_derivative",
-    "reciprocal_triple",
-    "trivial_reciprocal_solution",
-]
+__all__ = [*triple_core.__all__, *generators.__all__, *tree.__all__, *symphonic.__all__]

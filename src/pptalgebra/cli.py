@@ -57,8 +57,8 @@ from .symphonic import (
 _FERMAT_SIDES = (4565486027761, 1061652293520, 4687298610289)
 
 # Display grouping of the 41-letter path to Fermat's triple.  The split is
-# cosmetic; fermat_demo() recomputes the letters and fails loudly if the
-# grouped lengths ever stop matching the located path.
+# cosmetic; fermat_demo() rebuilds the letters from its regression and fails
+# loudly if the grouped lengths ever stop matching them.
 _FERMAT_BLOCK_LENGTHS = (5, 9, 4, 16, 4, 3)
 
 
@@ -88,7 +88,7 @@ def _cmd_info(args: argparse.Namespace) -> tuple[dict, list[str]]:
         "symphonic_square": str(sq.s),
         "altitude": str(altitude_kappa(t)),
         "path": str(code),
-        "depth": str(len(code)),
+        "depth": str(code.length),
     }
     lines = [
         f"triple: {t}",
@@ -164,7 +164,7 @@ def _cmd_locate(args: argparse.Namespace) -> tuple[dict, list[str]]:
         {
             "generator": format_fraction(f),
             "path": str(code),
-            "length": str(len(code)),
+            "length": str(code.length),
             "runs": code.compact(),
         }
     )
@@ -185,7 +185,7 @@ def _cmd_path(args: argparse.Namespace) -> tuple[dict, list[str]]:
     t = triple_from_primary(f)
     payload = {
         "path": str(code),
-        "length": str(len(code)),
+        "length": str(code.length),
         "generator": format_fraction(f),
         "triple": _triple_dict(t),
     }
@@ -324,9 +324,9 @@ def fermat_demo() -> dict:
     """End-to-end reproduction for the 13-digit triple Fermat found.
 
     Validates the triple, reads off its primary generator, regresses it to
-    the root recording every intermediate fraction, locates it (41 letters,
-    displayed in blocks of 5+9+4+16+4+3), classifies it, and shows it is
-    neither a major nor a minor derivative.
+    the root recording every intermediate fraction, reads its path off that
+    regression (41 letters, displayed in blocks of 5+9+4+16+4+3), classifies
+    it, and shows it is neither a major nor a minor derivative.
     """
     t = make_ppt(*_FERMAT_SIDES)
     f = generators_of(t)[0]
@@ -338,8 +338,7 @@ def fermat_demo() -> dict:
             break
         cur, letter = up
         steps.append({"letter": letter, "fraction": format_fraction(cur)})
-    code = locate(f)
-    letters = code.letters()
+    letters = "".join(row["letter"] for row in reversed(steps))
     blocks = []
     start = 0
     for length in _FERMAT_BLOCK_LENGTHS:
@@ -356,7 +355,7 @@ def fermat_demo() -> dict:
         "path": letters,
         "blocks": blocks,
         "block_lengths": [str(n) for n in _FERMAT_BLOCK_LENGTHS],
-        "length": str(len(code)),
+        "length": str(len(letters)),
         "class": str(classify(t)),
         "major_integral": _triple_dict(major) if major else None,
         "minor_integral": _triple_dict(minor) if minor else None,

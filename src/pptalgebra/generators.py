@@ -9,6 +9,13 @@ from fractions import Fraction
 
 from .triple_core import PPT, TripleError
 
+__all__ = [
+    "KeySequence", "Radii", "WrongParity", "format_fraction", "generators_of",
+    "key_sequence_from_fraction", "key_sequence_of", "parse_fraction",
+    "parse_key_sequence", "proper_fraction", "radii", "require_proper",
+    "triple_from_key", "triple_from_primary", "triple_from_secondary",
+]
+
 _FRACTION_RE = re.compile(r"^(\d+)/(\d+)$")
 _KEY_SEQUENCE_RE = re.compile(r"^\[(\d+),(\d+),(\d+),(\d+)\]$")
 

@@ -11,6 +11,14 @@ from numbers import Rational
 from .triple_core import PPT, TClass, TripleError, classify, make_ppt
 from .generators import generators_of
 
+__all__ = [
+    "AntiDerivative", "DerivativeKind", "IntegerSquareScale", "QuadraticSurd",
+    "SquarePair", "anti_derivative", "corollary_generators", "derivative",
+    "factor_class_transition", "harmonic_sum", "inscribed_squares",
+    "integer_square_scale", "is_derivative", "major_derivative",
+    "minor_derivative", "reciprocal_triple", "trivial_reciprocal_solution",
+]
+
 
 class DerivativeKind(Enum):
     MAJOR = "major"

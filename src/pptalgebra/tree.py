@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .triple_core import PPT, TripleError, make_ppt
+from .triple_core import PPT, TripleError
 from .generators import (
     KeySequence,
     format_fraction,
@@ -26,7 +26,16 @@ from .generators import (
     triple_from_key,
     triple_from_primary,
 )
-from .symphonic import DerivativeKind
+from .symphonic import DerivativeKind, corollary_generators
+
+__all__ = [
+    "ROOT", "ROOT_GENERATOR", "DegenerateIndex", "Family", "FamilyLine",
+    "NotInPrimaryTree", "PathCode", "PellPair", "Root", "SecondaryRoot",
+    "apply_path", "children", "derivative_location", "derive_generator",
+    "enumerate_level", "family_generator", "family_member",
+    "iter_by_hypotenuse", "locate", "parent", "pell",
+    "square_triangle_triple", "step", "walk",
+]
 
 
 class SecondaryRoot(TripleError):
@@ -102,8 +111,13 @@ class PathCode:
             pos = match.end()
         return cls(tuple(runs))
 
-    def __len__(self) -> int:
+    @property
+    def length(self) -> int:
+        """Number of letters, exact at any size (len() overflows past sys.maxsize)."""
         return sum(count for _, count in self.runs)
+
+    def __len__(self) -> int:
+        return self.length
 
     def __add__(self, other: "PathCode") -> "PathCode":
         return PathCode(self.runs + other.runs)
@@ -115,8 +129,8 @@ class PathCode:
 
     def letters(self) -> str:
         """The fully expanded word; refuses codes too long to materialize."""
-        if len(self) > _MAX_EXPANDED_LETTERS:
-            raise ValueError(f"path code of length {len(self)} is too long to expand")
+        if self.length > _MAX_EXPANDED_LETTERS:
+            raise ValueError(f"path code of length {self.length} is too long to expand")
         return "".join(letter * count for letter, count in self.runs)
 
     def compact(self) -> str:
@@ -128,22 +142,14 @@ class PathCode:
         )
 
     def __str__(self) -> str:
-        if len(self) <= _MAX_EXPANDED_LETTERS:
+        if self.length <= _MAX_EXPANDED_LETTERS:
             return self.letters()
         return self.compact()
 
 
 def step(f: Fraction, letter: str) -> Fraction:
     """One child step on a primary generator: A, B or C."""
-    require_proper(f)
-    q, p = f.numerator, f.denominator
-    if letter == "A":
-        return Fraction(q, p + 2 * q)
-    if letter == "B":
-        return Fraction(p, 2 * p + q)
-    if letter == "C":
-        return Fraction(p, 2 * p - q)
-    raise ValueError(f"step letter must be A, B or C, got {letter!r}")
+    return apply_path(f, PathCode(((letter, 1),)))
 
 
 def parent(f: Fraction) -> tuple[Fraction, str] | Root:
@@ -301,20 +307,8 @@ def iter_by_hypotenuse(bound: int) -> Iterator[PPT]:
 
 
 def derive_generator(f: Fraction, kind: DerivativeKind) -> Fraction:
-    """Primary generator of the major/minor derivative, straight from f = q/p.
-
-    Major sends q/p to q(p-q)/(p(p+q)).  Minor sends it to q(p+q)/(p(p-q)),
-    which can come out improper; an improper result is read as the generator
-    with numerator and denominator exchanged.
-    """
-    require_proper(f)
-    q, p = f.numerator, f.denominator
-    if kind is DerivativeKind.MAJOR:
-        return Fraction(q * (p - q), p * (p + q))
-    numerator, denominator = q * (p + q), p * (p - q)
-    if numerator > denominator:
-        numerator, denominator = denominator, numerator
-    return Fraction(numerator, denominator)
+    """Primary generator of the major/minor derivative of the triple f generates."""
+    return corollary_generators(triple_from_primary(f), kind)[0]
 
 
 @dataclass(frozen=True)
@@ -331,14 +325,14 @@ class PellPair:
 
 
 def pell(n: int) -> PellPair:
+    """The n-th Pell pair in O(log n) big-integer steps.
+
+    A run of n B steps takes (0, 1) to (p(n), p(n+1)), and q(n) = p(n+1) - p(n).
+    """
     if n < 1:
         raise ValueError(f"Pell index must be positive, got {n}")
-    p_prev, p_cur = 0, 1
-    q_prev, q_cur = 1, 1
-    for _ in range(n - 1):
-        p_prev, p_cur = p_cur, 2 * p_cur + p_prev
-        q_prev, q_cur = q_cur, 2 * q_cur + q_prev
-    return PellPair(n, p_cur, q_cur)
+    p, p_next = _b_run(0, 1, n)
+    return PellPair(n, p, p_next - p)
 
 
 class FamilyLine(Enum):
@@ -376,17 +370,13 @@ class Family:
 
 
 def family_generator(fam: Family) -> Fraction:
-    """Primary generator of the n-th family member.
+    """Primary generator of the n-th family member, read off its pure-letter path.
 
-    Platonic members sit at 1/(2n), Pythagorean at n/(n+1), and the Fermat
-    family at ratios p(n)/p(n+1) of consecutive Pell numbers.
+    Following A^(n-1), C^(n-1) or B^(n-1) from the root puts Platonic members
+    at 1/(2n), Pythagorean at n/(n+1), and the Fermat family at ratios
+    p(n)/p(n+1) of consecutive Pell numbers.
     """
-    n = fam.index
-    if fam.line is FamilyLine.PLATONIC:
-        return Fraction(1, 2 * n)
-    if fam.line is FamilyLine.PYTHAGOREAN:
-        return Fraction(n, n + 1)
-    return Fraction(pell(n).p, pell(n + 1).p)
+    return apply_path(ROOT_GENERATOR, fam.path_code)
 
 
 def family_member(fam: Family) -> PPT:
@@ -426,15 +416,11 @@ def derivative_location(fam: Family, kind: DerivativeKind) -> PathCode:
 
 
 def square_triangle_triple(i: int) -> PPT:
-    """The i-th triple with consecutive legs, from square triangular numbers.
+    """The i-th triple with consecutive legs, which is the i-th Fermat family member.
 
     The squares among the triangular numbers have sides 1, 6, 35, 204, ...
     (next = 6*current - previous); a consecutive pair (x, y) of those gives
     hypotenuse y - x and legs splitting x + y into two consecutive integers.
+    Those triples are exactly the straight-down B line of the tree.
     """
-    if i < 1:
-        raise ValueError(f"index must be positive, got {i}")
-    x, y = 1, 6
-    for _ in range(i - 1):
-        x, y = y, 6 * y - x
-    return make_ppt((x + y) // 2, (x + y + 1) // 2, y - x)
+    return family_member(Family(FamilyLine.FERMAT, i))

@@ -7,6 +7,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+__all__ = [
+    "PPT", "DivisibilityWitness", "InvalidParity", "NotATriple", "NotPrimitive",
+    "TClass", "TripleError", "altitude_kappa", "classify", "divisibility_witness",
+    "make_ppt",
+]
+
 
 class TripleError(ValueError):
     """Base class for invalid primitive-triple input."""

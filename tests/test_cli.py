@@ -232,6 +232,28 @@ def test_fermat_demo_json(cli):
     assert payload["major_integral"] is None and payload["minor_integral"] is None
 
 
+def test_codes_longer_than_sys_maxsize(cli):
+    code, out, _ = cli("path", "C^99999999999999999999", "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["path"] == "C^99999999999999999999"
+    assert payload["length"] == "99999999999999999999"
+    assert parse_fraction(payload["generator"]) == Fraction(10**20, 10**20 + 1)
+
+    code, out, _ = cli("locate", "99999999999999999999/100000000000000000000", "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["path"] == payload["runs"] == "C^99999999999999999998"
+    assert payload["length"] == "99999999999999999998"
+
+    code, out, _ = cli("family", "fermat", "2000", "--derive", "minor", "--json")
+    payload = json.loads(out)
+    assert code == 0
+    derived = PathCode.parse(payload["derivative_path"])
+    assert derived.length > sys.maxsize
+    assert apply_path(Fraction(1, 2), derived) == parse_fraction(payload["derivative_generator"])
+
+
 def test_json_is_a_single_object(cli):
     code, out, _ = cli("children", "3", "4", "5", "--json")
     payload = json.loads(out)
@@ -265,6 +287,8 @@ AGREEMENT_CASES = [
     ["path", "C^13"],
     ["path", "AA C^16 B"],
     ["path", "BCCCB"],
+    ["path", "C^99999999999999999999"],
+    ["locate", "99999999999999999999/100000000000000000000"],
     *(["children", *map(str, sides)] for sides in [(3, 4, 5), (15, 8, 17), (5, 12, 13)]),
     *(["level", str(n)] for n in range(4)),
     *(["classify", *map(str, sides)]
@@ -275,6 +299,7 @@ AGREEMENT_CASES = [
     *(["family", line, "2", "--derive", kind]
       for line in ("platonic", "pythagorean", "fermat")
       for kind in ("major", "minor")),
+    ["family", "fermat", "2000", "--derive", "minor"],
     ["fermat-demo"],
 ]
 

@@ -61,10 +61,43 @@ def naive_locate(f: Fraction) -> str:
         letters.append(letter)
 
 
+def naive_step(f: Fraction, letter: str) -> Fraction:
+    """The explicit A/B/C fraction maps; the oracle for step() and apply_path()."""
+    q, p = f.numerator, f.denominator
+    if letter == "A":
+        return Fraction(q, p + 2 * q)
+    if letter == "B":
+        return Fraction(p, 2 * p + q)
+    return Fraction(p, 2 * p - q)
+
+
 def naive_apply(f: Fraction, letters: str) -> Fraction:
     for letter in letters:
-        f = step(f, letter)
+        f = naive_step(f, letter)
     return f
+
+
+def pell_loop(count: int):
+    """(p(n), q(n)) for n = 1..count by the two-term recurrences; the oracle for pell()."""
+    p_prev, p_cur = 0, 1
+    q_prev, q_cur = 1, 1
+    for _ in range(count):
+        yield p_cur, q_cur
+        p_prev, p_cur = p_cur, 2 * p_cur + p_prev
+        q_prev, q_cur = q_cur, 2 * q_cur + q_prev
+
+
+def derive_generator_formula(f: Fraction, kind: DerivativeKind) -> Fraction:
+    """The derivative generator straight from f = q/p; the oracle for derive_generator().
+
+    Major sends q/p to q(p-q)/(p(p+q)).  Minor sends it to q(p+q)/(p(p-q)),
+    read with numerator and denominator exchanged when that comes out improper.
+    """
+    q, p = f.numerator, f.denominator
+    if kind is DerivativeKind.MAJOR:
+        return Fraction(q * (p - q), p * (p + q))
+    numerator, denominator = q * (p + q), p * (p - q)
+    return Fraction(min(numerator, denominator), max(numerator, denominator))
 
 
 # ---------------------------------------------------------------- path codes
@@ -156,6 +189,7 @@ def test_parent_of_secondary_root():
 
 @given(primary_fraction(max_den=2000), st.sampled_from("ABC"))
 def test_parent_inverts_step(f, letter):
+    assert step(f, letter) == naive_step(f, letter)
     assert parent(step(f, letter)) == (f, letter)
 
 
@@ -208,7 +242,8 @@ def test_apply_path_batches_are_exact():
     ):
         assert apply_path(ROOT_GENERATOR, PathCode.parse(text)) == expected
     b_run = apply_path(ROOT_GENERATOR, PathCode.parse("B^20"))
-    assert b_run == Fraction(pell(21).p, pell(22).p)
+    p = [p for p, _ in pell_loop(22)]
+    assert b_run == Fraction(p[20], p[21])
 
 
 def test_locate_is_fast_on_astronomical_runs():
@@ -317,6 +352,8 @@ def test_derive_generator_goldens():
 def test_derive_generator_commutes_with_triples(small_corpus):
     for t in small_corpus:
         f = generators_of(t)[0]
+        for kind in DerivativeKind:
+            assert derive_generator(f, kind) == derive_generator_formula(f, kind)
         assert triple_from_primary(derive_generator(f, DerivativeKind.MAJOR)) == major_derivative(t)
         assert triple_from_primary(derive_generator(f, DerivativeKind.MINOR)) == minor_derivative(t)
 
@@ -330,6 +367,12 @@ def test_pell_goldens():
     assert (pell(5).p, pell(5).q) == (29, 41)
     with pytest.raises(ValueError):
         pell(0)
+
+
+def test_pell_matches_two_term_loop():
+    for n, (p, q) in enumerate(pell_loop(2000), start=1):
+        pair = pell(n)
+        assert (pair.p, pair.q) == (p, q)
 
 
 def test_pell_recurrence_and_key_property():
@@ -359,10 +402,17 @@ def test_family_index_validation():
 
 
 def test_family_paths_reach_family_generators():
-    for line in FamilyLine:
-        for n in range(1, 13):
-            fam = Family(line, n)
-            assert apply_path(ROOT_GENERATOR, fam.path_code) == family_generator(fam)
+    # Closed forms: 1/(2n), n/(n+1) and consecutive Pell ratios p(n)/p(n+1).
+    p = [p for p, _ in pell_loop(301)]
+    for n in [*range(1, 301), 10**6, 10**12 + 7]:
+        expected = {
+            FamilyLine.PLATONIC: Fraction(1, 2 * n),
+            FamilyLine.PYTHAGOREAN: Fraction(n, n + 1),
+        }
+        if n < 301:
+            expected[FamilyLine.FERMAT] = Fraction(p[n - 1], p[n])
+        for line, generator in expected.items():
+            assert family_generator(Family(line, n)) == generator
 
 
 def test_platonic_members_are_the_one_over_even_family():
@@ -418,6 +468,17 @@ def test_closed_forms_match_actual_locations(line, kind):
         assert derivative_location(fam, kind) == actual
 
 
+def test_fermat_identities_at_large_index():
+    # The old O(n) Pell loop took seconds per call at this index.
+    n = 10**5
+    fam = Family(FamilyLine.FERMAT, n)
+    pair = pell(n)
+    assert pair.q**2 - 2 * pair.p**2 == (-1) ** n
+    assert family_generator(fam) == Fraction(pair.p, pair.p + pair.q)
+    code = derivative_location(fam, DerivativeKind.MINOR)
+    assert apply_path(ROOT_GENERATOR, code) == derive_generator(family_generator(fam), DerivativeKind.MINOR)
+
+
 def test_degenerate_indices():
     for kind in DerivativeKind:
         with pytest.raises(DegenerateIndex):
@@ -438,7 +499,7 @@ def test_square_triangle_goldens():
 def test_square_triangle_relation():
     # The square-sides sequence: squares among the triangular numbers.
     x, y = 1, 6
-    for i in range(1, 11):
+    for i in range(1, 300):
         t = square_triangle_triple(i)
         low, high = sorted((t.a, t.b))
         assert high - low == 1
