@@ -3,7 +3,8 @@
 Every verb takes --json to emit a single JSON object instead of text.  JSON
 values are decimal strings (sides routinely exceed 64 bits), fractions are
 "q/p", and path codes use the same letters/run-length format parse() accepts,
-so output round-trips losslessly.
+so output round-trips losslessly.  The text output is rendered from that same
+payload, one "field: value" line per field after an optional heading.
 """
 
 from __future__ import annotations
@@ -62,12 +63,27 @@ _FERMAT_SIDES = (4565486027761, 1061652293520, 4687298610289)
 _FERMAT_BLOCK_LENGTHS = (5, 9, 4, 16, 4, 3)
 
 
-def _triple_dict(t: PPT) -> dict[str, str]:
-    return {"a": str(t.a), "b": str(t.b), "c": str(t.c)}
+def _triple_dict(t: PPT | None) -> dict[str, str] | None:
+    return None if t is None else {"a": str(t.a), "b": str(t.b), "c": str(t.c)}
 
 
-def _or_root(code_text: str) -> str:
-    return code_text or "(root)"
+def _text(value) -> str:
+    """Text form of a payload value: a triple as [a, b, c], any other dict as
+    k=v pairs, a list joined by commas, None as "none", "" (the root) as "(root)"."""
+    if isinstance(value, dict):
+        if list(value) == ["a", "b", "c"]:
+            return f"[{', '.join(value.values())}]"
+        return " ".join(f"{k}={v}" for k, v in value.items())
+    if isinstance(value, list):
+        return ", ".join(map(_text, value))
+    if value is None:
+        return "none"
+    return value or "(root)"
+
+
+def _lines(payload: dict, *keys: str) -> list[str]:
+    """One "key with spaces: value" line per field; every field when no keys are given."""
+    return [f"{key.replace('_', ' ')}: {_text(payload[key])}" for key in keys or payload]
 
 
 def _cmd_info(args: argparse.Namespace) -> tuple[dict, list[str]]:
@@ -90,27 +106,13 @@ def _cmd_info(args: argparse.Namespace) -> tuple[dict, list[str]]:
         "path": str(code),
         "depth": str(code.length),
     }
-    lines = [
-        f"triple: {t}",
-        f"primary generator: {t1}",
-        f"secondary generator: {t2}",
-        f"key sequence: {key}",
-        f"radii: r1={r.r1} r2={r.r2} r3={r.r3} r4={r.r4}",
-        f"class: {payload['class']}",
-        f"harmonic square: {sq.h}",
-        f"symphonic square: {sq.s}",
-        f"altitude: {payload['altitude']}",
-        f"path: {_or_root(payload['path'])}",
-        f"depth: {payload['depth']}",
-    ]
-    return payload, lines
+    return payload, _lines(payload)
 
 
 def _cmd_derive(args: argparse.Namespace) -> tuple[dict, list[str]]:
     t = make_ppt(*args.sides)
     d = derivative(t, args.kind)
     d1, d2 = generators_of(d)
-    code = locate(d1)
     payload = {
         "kind": args.kind.value,
         "triple": _triple_dict(t),
@@ -118,16 +120,10 @@ def _cmd_derive(args: argparse.Namespace) -> tuple[dict, list[str]]:
         "primary_generator": format_fraction(d1),
         "secondary_generator": format_fraction(d2),
         "class": str(classify(d)),
-        "path": str(code),
+        "path": str(locate(d1)),
     }
-    lines = [
-        f"{t} --{args.kind}--> {d}",
-        f"primary generator: {d1}",
-        f"secondary generator: {d2}",
-        f"class: {payload['class']}",
-        f"path: {_or_root(payload['path'])}",
-    ]
-    return payload, lines
+    heading = f"{_text(payload['triple'])} --{payload['kind']}--> {_text(payload['derivative'])}"
+    return payload, [heading, *_lines(payload, "primary_generator", "secondary_generator", "class", "path")]
 
 
 def _cmd_antiderive(args: argparse.Namespace) -> tuple[dict, list[str]]:
@@ -138,15 +134,10 @@ def _cmd_antiderive(args: argparse.Namespace) -> tuple[dict, list[str]]:
         "triple": _triple_dict(t),
         "roots": [str(anti.roots[0]), str(anti.roots[1])],
         "hypotenuse": str(anti.hypotenuse),
-        "integral": _triple_dict(anti.integral) if anti.integral else None,
+        "integral": _triple_dict(anti.integral),
     }
-    lines = [
-        f"anti-derivative ({anti.kind}) of {t}",
-        f"roots: {anti.roots[0]}, {anti.roots[1]}",
-        f"hypotenuse: {anti.hypotenuse}",
-        f"integral: {anti.integral if anti.integral else 'none'}",
-    ]
-    return payload, lines
+    heading = f"anti-derivative ({payload['kind']}) of {_text(payload['triple'])}"
+    return payload, [heading, *_lines(payload, "roots", "hypotenuse", "integral")]
 
 
 def _cmd_locate(args: argparse.Namespace) -> tuple[dict, list[str]]:
@@ -160,42 +151,23 @@ def _cmd_locate(args: argparse.Namespace) -> tuple[dict, list[str]]:
     else:
         raise ValueError("locate takes a fraction q/p or three sides")
     code = locate(f)
-    payload.update(
-        {
-            "generator": format_fraction(f),
-            "path": str(code),
-            "length": str(code.length),
-            "runs": code.compact(),
-        }
-    )
-    lines = [
-        f"generator: {f}",
-        f"path: {_or_root(payload['path'])}",
-        f"length: {payload['length']}",
-        f"runs: {_or_root(payload['runs'])}",
-    ]
-    if "triple" in payload:
-        lines.insert(0, f"triple: {t}")
-    return payload, lines
+    payload["generator"] = format_fraction(f)
+    payload["path"] = str(code)
+    payload["length"] = str(code.length)
+    payload["runs"] = code.compact()
+    return payload, _lines(payload)
 
 
 def _cmd_path(args: argparse.Namespace) -> tuple[dict, list[str]]:
     code = PathCode.parse(args.code)
     f = apply_path(ROOT_GENERATOR, code)
-    t = triple_from_primary(f)
     payload = {
         "path": str(code),
         "length": str(code.length),
         "generator": format_fraction(f),
-        "triple": _triple_dict(t),
+        "triple": _triple_dict(triple_from_primary(f)),
     }
-    lines = [
-        f"path: {_or_root(payload['path'])}",
-        f"length: {payload['length']}",
-        f"generator: {f}",
-        f"triple: {t}",
-    ]
-    return payload, lines
+    return payload, _lines(payload)
 
 
 def _cmd_children(args: argparse.Namespace) -> tuple[dict, list[str]]:
@@ -207,12 +179,8 @@ def _cmd_children(args: argparse.Namespace) -> tuple[dict, list[str]]:
         "middle": _triple_dict(middle),
         "right": _triple_dict(right),
     }
-    lines = [
-        f"children of {t}",
-        f"left:   {left}",
-        f"middle: {middle}",
-        f"right:  {right}",
-    ]
+    lines = [f"children of {_text(payload['triple'])}"]
+    lines.extend(f"{key + ':':<7} {_text(payload[key])}" for key in ("left", "middle", "right"))
     return payload, lines
 
 
@@ -228,8 +196,8 @@ def _cmd_level(args: argparse.Namespace) -> tuple[dict, list[str]]:
         "count": str(len(triples)),
         "triples": [_triple_dict(t) for t in triples],
     }
-    lines = [f"level {args.depth}: {len(triples)} triples"]
-    lines.extend(f"  {t}" for t in triples)
+    lines = [f"level {payload['level']}: {payload['count']} triples"]
+    lines.extend(f"  {_text(t)}" for t in payload["triples"])
     return payload, lines
 
 
@@ -246,9 +214,10 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, list[str]]:
         "derivative_class": str(derived),
     }
     lines = [
-        f"{t}: class {original}",
-        f"3 divides {witness.three_divides}; 4 divides b; 5 divides {witness.five_divides}",
-        f"derivatives land in {derived}",
+        f"{_text(payload['triple'])}: class {payload['class']}",
+        f"3 divides {payload['three_divides']}; 4 divides {payload['four_divides']};"
+        f" 5 divides {payload['five_divides']}",
+        f"derivatives land in {payload['derivative_class']}",
     ]
     return payload, lines
 
@@ -256,26 +225,22 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, list[str]]:
 def _cmd_squares(args: argparse.Namespace) -> tuple[dict, list[str]]:
     t = make_ppt(*args.sides)
     sq = inscribed_squares(t)
-    rec = reciprocal_triple(t)
     scale = integer_square_scale(t)
     payload = {
         "triple": _triple_dict(t),
         "harmonic_square": str(sq.h),
         "symphonic_square": str(sq.s),
-        "reciprocal_triple": [str(x) for x in rec],
+        "reciprocal_triple": [str(x) for x in reciprocal_triple(t)],
         "scale": str(scale.scale),
         "scaled_triple": dict(zip("abc", (str(v) for v in scale.scaled))),
         "scaled_harmonic": str(scale.h),
         "scaled_symphonic": str(scale.s),
     }
-    lines = [
-        f"triple: {t}",
-        f"harmonic square: {sq.h}",
-        f"symphonic square: {sq.s}",
-        f"reciprocal triple: {rec[0]}, {rec[1]}, {rec[2]}",
-        f"integer scale: {scale.scale}",
-        f"scaled: [{scale.scaled[0]}, {scale.scaled[1]}, {scale.scaled[2]}]"
-        f" with h={scale.h} s={scale.s}",
+    lines = _lines(payload, "triple", "harmonic_square", "symphonic_square", "reciprocal_triple")
+    lines += [
+        f"integer scale: {payload['scale']}",
+        f"scaled: {_text(payload['scaled_triple'])}"
+        f" with h={payload['scaled_harmonic']} s={payload['scaled_symphonic']}",
     ]
     return payload, lines
 
@@ -291,32 +256,20 @@ def _cmd_family(args: argparse.Namespace) -> tuple[dict, list[str]]:
         "generator": format_fraction(gen),
         "triple": _triple_dict(member),
     }
-    lines = [
-        f"{fam.line} family, member {fam.index}",
-        f"path: {_or_root(payload['path'])}",
-        f"generator: {gen}",
-        f"triple: {member}",
-    ]
+    lines = [f"{payload['family']} family, member {payload['index']}"]
+    lines += _lines(payload, "path", "generator", "triple")
     if args.derive is not None:
         kind = DerivativeKind(args.derive)
-        d = derivative(member, kind)
-        dgen = derive_generator(gen, kind)
-        dcode = derivative_location(fam, kind)
         payload.update(
             {
                 "derive": kind.value,
-                "derivative": _triple_dict(d),
-                "derivative_generator": format_fraction(dgen),
-                "derivative_path": str(dcode),
+                "derivative": _triple_dict(derivative(member, kind)),
+                "derivative_generator": format_fraction(derive_generator(gen, kind)),
+                "derivative_path": str(derivative_location(fam, kind)),
             }
         )
-        lines.extend(
-            [
-                f"{kind} derivative: {d}",
-                f"derivative generator: {dgen}",
-                f"derivative path: {dcode}",
-            ]
-        )
+        lines.append(f"{payload['derive']} derivative: {_text(payload['derivative'])}")
+        lines += _lines(payload, "derivative_generator", "derivative_path")
     return payload, lines
 
 
@@ -346,8 +299,6 @@ def fermat_demo() -> dict:
         start += length
     if start != len(letters):
         raise AssertionError("path-code block structure out of sync with the located path")
-    major = is_derivative(t, DerivativeKind.MAJOR)
-    minor = is_derivative(t, DerivativeKind.MINOR)
     return {
         "triple": _triple_dict(t),
         "generator": format_fraction(f),
@@ -357,31 +308,26 @@ def fermat_demo() -> dict:
         "block_lengths": [str(n) for n in _FERMAT_BLOCK_LENGTHS],
         "length": str(len(letters)),
         "class": str(classify(t)),
-        "major_integral": _triple_dict(major) if major else None,
-        "minor_integral": _triple_dict(minor) if minor else None,
+        "major_integral": _triple_dict(is_derivative(t, DerivativeKind.MAJOR)),
+        "minor_integral": _triple_dict(is_derivative(t, DerivativeKind.MINOR)),
     }
 
 
 def _cmd_fermat_demo(args: argparse.Namespace) -> tuple[dict, list[str]]:
     payload = fermat_demo()
-    t = payload["triple"]
     grouped = " ".join(payload["blocks"])
     sums = " + ".join(payload["block_lengths"])
     lines = [
-        f"Fermat's triple: [{t['a']}, {t['b']}, {t['c']}]",
+        f"Fermat's triple: {_text(payload['triple'])}",
         f"primary generator: {payload['generator']}",
         f"regression to the root ({payload['length']} steps):",
+        *(f"  {row['letter']} {row['fraction']}" for row in payload["regression"]),
+        f"code: {payload['path']}",
+        f"path: {grouped} ({sums} = {payload['length']})",
+        f"class: {payload['class']}",
+        f"major anti-derivative: {_text(payload['major_integral'])}",
+        f"minor anti-derivative: {_text(payload['minor_integral'])}",
     ]
-    lines.extend(f"  {row['letter']} {row['fraction']}" for row in payload["regression"])
-    lines.extend(
-        [
-            f"code: {payload['path']}",
-            f"path: {grouped} ({sums} = {payload['length']})",
-            f"class: {payload['class']}",
-            "major anti-derivative: none",
-            "minor anti-derivative: none",
-        ]
-    )
     return payload, lines
 
 
@@ -458,22 +404,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse argv and execute one verb; returns the process exit status."""
-    parser = _build_parser()
+    """Parse argv and execute one verb; returns the process exit status.
+
+    CPython 3.10.7+ refuses int<->str conversions past 4300 digits.  The
+    limit is lifted for the call, so sides and results of any size parse and
+    print in full, and the caller's limit is restored on return.
+    """
+    previous = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if previous:
+        sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        payload, lines = args.handler(args)
-    except ValueError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(lines))
-    return 0
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
+        try:
+            payload, lines = args.handler(args)
+        except ValueError as exc:
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
+        print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+        return 0
+    finally:
+        if previous:
+            sys.set_int_max_str_digits(previous)
 
 
 def main() -> None:

@@ -93,22 +93,14 @@ def make_ppt(x: int, y: int, z: int) -> PPT:
     """Build a canonical PPT from three sides given in any leg order.
 
     The hypotenuse is recognized as the largest side; the legs are oriented
-    odd-first.  Raises NotATriple, NotPrimitive, or InvalidParity when the
-    input is not a primitive Pythagorean triple.
+    odd-first.  PPT then raises NotATriple, NotPrimitive, or InvalidParity
+    when the input is not a primitive Pythagorean triple.
     """
     for side in (x, y, z):
         if not isinstance(side, int) or side <= 0:
             raise TripleError(f"sides must be positive integers, got {side!r}")
     s, m, c = sorted((x, y, z))
-    if s * s + m * m != c * c:
-        raise NotATriple(f"no leg assignment of ({x}, {y}, {z}) satisfies the triple equation")
-    if math.gcd(math.gcd(x, y), z) != 1:
-        raise NotPrimitive(f"({x}, {y}, {z}) has a common factor")
-    odd_legs = [leg for leg in (s, m) if leg % 2 == 1]
-    if len(odd_legs) != 1:
-        raise InvalidParity(f"legs ({s}, {m}) must be one odd, one even")
-    a = odd_legs[0]
-    b = m if a == s else s
+    a, b = (s, m) if s % 2 else (m, s)
     return PPT(a, b, c)
 
 

@@ -75,8 +75,13 @@ def test_locate_text_golden(cli):
 def test_locate_accepts_triple_sides(cli):
     code, out, _ = cli("locate", "33", "56", "65")
     assert code == 0
-    assert "triple: [33, 56, 65]" in out
-    assert "path: AC" in out
+    assert out.splitlines() == [
+        "triple: [33, 56, 65]",
+        "generator: 4/7",
+        "path: AC",
+        "length: 2",
+        "runs: A C",
+    ]
 
 
 def test_path_accepts_run_length(cli):
@@ -85,7 +90,12 @@ def test_path_accepts_run_length(cli):
     assert "triple: [29, 420, 421]" in out
     code, out, _ = cli("path", "AA C^16 B")
     assert code == 0
-    assert "generator: 86/253" in out
+    assert out.splitlines() == [
+        "path: AACCCCCCCCCCCCCCCCB",
+        "length: 19",
+        "generator: 86/253",
+        "triple: [56613, 43516, 71405]",
+    ]
 
 
 def test_children_text_golden(cli):
@@ -139,6 +149,28 @@ def test_family_with_derivative(cli):
     assert "derivative path: CCCCCCCCCCCCC" in lines
 
 
+def test_family_text_goldens(cli):
+    code, out, _ = cli("family", "platonic", "1")
+    assert code == 0
+    assert out.splitlines() == [
+        "platonic family, member 1",
+        "path: (root)",
+        "generator: 1/2",
+        "triple: [3, 4, 5]",
+    ]
+    code, out, _ = cli("family", "pythagorean", "7", "--derive", "major")
+    assert code == 0
+    assert out.splitlines() == [
+        "pythagorean family, member 7",
+        "path: CCCCCC",
+        "generator: 7/8",
+        "triple: [15, 112, 113]",
+        "major derivative: [14351, 1680, 14449]",
+        "derivative generator: 7/120",
+        "derivative path: CCCCCCAAAAAAAA",
+    ]
+
+
 def test_antiderive_text(cli):
     code, out, _ = cli("antiderive", "--major", "15", "8", "17")
     assert out.splitlines() == [
@@ -147,20 +179,72 @@ def test_antiderive_text(cli):
         "hypotenuse: 3",
         "integral: none",
     ]
+    code, out, _ = cli("antiderive", "--major", "35", "12", "37")
+    assert out.splitlines() == [
+        "anti-derivative (major) of [35, 12, 37]",
+        "roots: 4, 3",
+        "hypotenuse: 5",
+        "integral: [3, 4, 5]",
+    ]
+
+
+FERMAT_DEMO_TEXT = """\
+Fermat's triple: [4565486027761, 1061652293520, 4687298610289]
+primary generator: 246792/2150905
+regression to the root (41 steps):
+  A 246792/1657321
+  A 246792/1163737
+  A 246792/670153
+  B 176569/246792
+  C 106346/176569
+  C 36123/106346
+  B 34100/36123
+  C 32077/34100
+  C 30054/32077
+  C 28031/30054
+  C 26008/28031
+  C 23985/26008
+  C 21962/23985
+  C 19939/21962
+  C 17916/19939
+  C 15893/17916
+  C 13870/15893
+  C 11847/13870
+  C 9824/11847
+  C 7801/9824
+  C 5778/7801
+  C 3755/5778
+  C 1732/3755
+  B 291/1732
+  A 291/1150
+  A 291/568
+  C 14/291
+  A 14/263
+  A 14/235
+  A 14/207
+  A 14/179
+  A 14/151
+  A 14/123
+  A 14/95
+  A 14/67
+  A 14/39
+  B 11/14
+  C 8/11
+  C 5/8
+  C 2/5
+  B 1/2
+code: BCCCBAAAAAAAAACAABCCCCCCCCCCCCCCCCBCCBAAA
+path: BCCCB AAAAAAAAA CAAB CCCCCCCCCCCCCCCC BCCB AAA (5 + 9 + 4 + 16 + 4 + 3 = 41)
+class: T6
+major anti-derivative: none
+minor anti-derivative: none
+"""
 
 
 def test_fermat_demo_text(cli):
     code, out, _ = cli("fermat-demo")
-    lines = out.splitlines()
-    assert lines[0] == "Fermat's triple: [4565486027761, 1061652293520, 4687298610289]"
-    assert lines[1] == "primary generator: 246792/2150905"
-    assert lines[2] == "regression to the root (41 steps):"
-    assert lines[3] == "  A 246792/1657321"
-    assert lines[43] == "  B 1/2"
-    assert "path: BCCCB AAAAAAAAA CAAB CCCCCCCCCCCCCCCC BCCB AAA (5 + 9 + 4 + 16 + 4 + 3 = 41)" in lines
-    assert "class: T6" in lines
-    assert "major anti-derivative: none" in lines
-    assert "minor anti-derivative: none" in lines
+    assert code == 0
+    assert out == FERMAT_DEMO_TEXT
 
 
 # ----------------------------------------------------------------- JSON mode
@@ -254,6 +338,39 @@ def test_codes_longer_than_sys_maxsize(cli):
     assert apply_path(Fraction(1, 2), derived) == parse_fraction(payload["derivative_generator"])
 
 
+def test_values_past_the_int_digit_limit(cli):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, raw, _ = cli("path", "B^13100", "--json")
+    assert code == 0
+    payload = json.loads(raw)
+    sides = [payload["triple"][k] for k in "abc"]
+    assert len(sides[2]) >= 10**4
+    code, out, _ = cli("path", "B^13100")
+    assert code == 0
+    assert out.splitlines() == [
+        "path: B^13100",
+        "length: 13100",
+        f"generator: {payload['generator']}",
+        f"triple: [{', '.join(sides)}]",
+    ]
+
+    code, raw, _ = cli("locate", *sides, "--json")
+    assert code == 0
+    located = json.loads(raw)
+    assert located["triple"] == payload["triple"]
+    assert located["generator"] == payload["generator"]
+    assert located["path"] == located["runs"] == "B^13100"
+
+    code, out, _ = cli("info", *sides)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"triple: [{', '.join(sides)}]"
+    assert lines[1] == f"primary generator: {payload['generator']}"
+    assert lines[-2:] == ["path: B^13100", "depth: 13100"]
+    # run() lifts the digit limit only for its own call.
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
 def test_json_is_a_single_object(cli):
     code, out, _ = cli("children", "3", "4", "5", "--json")
     payload = json.loads(out)
@@ -288,6 +405,7 @@ AGREEMENT_CASES = [
     ["path", "AA C^16 B"],
     ["path", "BCCCB"],
     ["path", "C^99999999999999999999"],
+    ["path", "B^6000"],
     ["locate", "99999999999999999999/100000000000000000000"],
     *(["children", *map(str, sides)] for sides in [(3, 4, 5), (15, 8, 17), (5, 12, 13)]),
     *(["level", str(n)] for n in range(4)),

@@ -265,8 +265,9 @@ def test_factor_class_transitions():
 def test_factor_class_transition_theorem(small_corpus):
     for t in small_corpus:
         original, derived = factor_class_transition(t)
-        expected = TClass.T4 if original in (TClass.T1, TClass.T2) else TClass.T6
-        assert derived is expected
+        assert original is classify(t)
+        assert classify(major_derivative(t)) is derived
+        assert classify(minor_derivative(t)) is derived
 
 
 def test_second_derivatives_land_in_t6(small_corpus):
