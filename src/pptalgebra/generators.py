@@ -148,6 +148,11 @@ def triple_from_primary(f: Fraction) -> PPT:
     q, p = f.numerator, f.denominator
     if (q + p) % 2 == 0:
         raise WrongParity(f"{f} has even numerator+denominator sum; it is a secondary generator")
+    return _primary_triple(q, p)
+
+
+def _primary_triple(q: int, p: int) -> PPT:
+    # triple_from_primary without the input checks, for generators known proper and odd-sum.
     return PPT(p * p - q * q, 2 * p * q, p * p + q * q)
 
 

@@ -71,7 +71,9 @@ class QuadraticSurd:
             g = math.gcd(u, v)
         else:
             g = 1
-            for cand in range(math.gcd(abs(u), v), 1, -1):
+            # g divides u, v and d, and g^2 <= |d|; the scan stays linear in gcd(u, v, d).
+            top = min(math.gcd(u, v, d), math.isqrt(abs(d)))
+            for cand in range(top, 1, -1):
                 if u % cand == 0 and v % cand == 0 and d % (cand * cand) == 0:
                     g = cand
                     break

@@ -10,7 +10,6 @@ contain runs far too long to materialize letter by letter.
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -19,11 +18,10 @@ from fractions import Fraction
 
 from .triple_core import PPT, TripleError
 from .generators import (
-    KeySequence,
+    _primary_triple,
     format_fraction,
-    key_sequence_of,
+    generators_of,
     require_proper,
-    triple_from_key,
     triple_from_primary,
 )
 from .symphonic import DerivativeKind, corollary_generators
@@ -152,12 +150,27 @@ def step(f: Fraction, letter: str) -> Fraction:
     return apply_path(f, PathCode(((letter, 1),)))
 
 
+def _up(q: int, p: int) -> tuple[str, int, int, int]:
+    # The maximal run ending at q/p: (letter, count, parent q, parent p).
+    # d = p - 2q picks the letter: d > q means A, 0 < d <= q means B, else C.
+    # An A run subtracts 2q from p with q fixed and a C run subtracts the
+    # invariant p - q from both, so their lengths come from one division;
+    # B steps shrink the pair geometrically and are taken singly.
+    d = p - 2 * q
+    if d > q:
+        count = (p - q - 1) // (2 * q)
+        return "A", count, q, p - 2 * count * q
+    if d > 0:
+        return "B", 1, d, q
+    delta = p - q
+    count = (q - 1) // delta
+    return "C", count, q - count * delta, p - count * delta
+
+
 def parent(f: Fraction) -> tuple[Fraction, str] | Root:
     """Invert one step: the parent generator and the letter that reached f.
 
-    Returns ROOT for 1/2.  The quotient q/(p-2q) decides the letter: a proper
-    value means A, an improper one B (take the reciprocal), a negative one C
-    (negate and take the reciprocal).
+    Returns ROOT for 1/2.
     """
     require_proper(f)
     q, p = f.numerator, f.denominator
@@ -165,23 +178,12 @@ def parent(f: Fraction) -> tuple[Fraction, str] | Root:
         return ROOT
     if q == 1 and p == 3:
         raise SecondaryRoot("1/3 roots the secondary tree and has no parent here")
-    d = p - 2 * q
-    if d > q:
-        return Fraction(q, d), "A"
-    if d > 0:
-        return Fraction(d, q), "B"
-    return Fraction(-d, q), "C"
+    letter, count, q, p = _up(q, p)
+    return apply_path(Fraction(q, p), PathCode(((letter, count - 1),))), letter
 
 
 def locate(f: Fraction) -> PathCode:
-    """Path code from the root 1/2 down to the generator f.
-
-    Regression runs whole runs at a time: stripping A subtracts 2q from the
-    denominator with the numerator fixed, and stripping C subtracts the
-    invariant d = p - q from both parts, so run lengths come from a division
-    instead of a loop.  B steps shrink the pair geometrically and are taken
-    singly.
-    """
+    """Path code from the root 1/2 down to the generator f, one whole run at a time."""
     require_proper(f)
     q, p = f.numerator, f.denominator
     reversed_runs: list[tuple[str, int]] = []
@@ -190,20 +192,8 @@ def locate(f: Fraction) -> PathCode:
             raise NotInPrimaryTree(
                 f"{format_fraction(f)} regresses to 1/3; it generates no triple"
             )
-        d = p - 2 * q
-        if d > q:
-            count = (p - q - 1) // (2 * q)
-            reversed_runs.append(("A", count))
-            p -= 2 * count * q
-        elif d > 0:
-            reversed_runs.append(("B", 1))
-            q, p = d, q
-        else:
-            delta = p - q
-            count = (q - 1) // delta
-            reversed_runs.append(("C", count))
-            q -= count * delta
-            p -= count * delta
+        letter, count, q, p = _up(q, p)
+        reversed_runs.append((letter, count))
     return PathCode(tuple(reversed(reversed_runs)))
 
 
@@ -245,65 +235,60 @@ def apply_path(f: Fraction, code: PathCode) -> Fraction:
     return Fraction(q, p)
 
 
-_ROOT_KEY = KeySequence(1, 1, 2, 3)
+def _children(q: int, p: int) -> tuple[tuple[int, int], ...]:
+    # The A, B and C children of the generator q/p.
+    return (q, p + 2 * q), (p, 2 * p + q), (p, 2 * p - q)
 
 
-def _complete(q2: int, q1: int) -> KeySequence:
-    return KeySequence(q2, q1, q1 + q2, 2 * q1 + q2)
-
-
-def _key_children(key: KeySequence) -> tuple[KeySequence, KeySequence, KeySequence]:
-    return (
-        _complete(key.p2, key.q1),
-        _complete(key.p2, key.p1),
-        _complete(key.q2, key.p1),
-    )
+def _levels(depth: int) -> Iterator[list[tuple[int, int]]]:
+    # Generator pairs of levels 0..depth, each level in left-to-right order.
+    pairs = [(1, 2)]
+    yield pairs
+    for _ in range(depth):
+        pairs = [child for q, p in pairs for child in _children(q, p)]
+        yield pairs
 
 
 def children(t: PPT) -> tuple[PPT, PPT, PPT]:
     """The left, middle and right successors of a triple."""
-    left, middle, right = _key_children(key_sequence_of(t))
-    return triple_from_key(left), triple_from_key(middle), triple_from_key(right)
+    f = generators_of(t)[0]
+    left, middle, right = _children(f.numerator, f.denominator)
+    return _primary_triple(*left), _primary_triple(*middle), _primary_triple(*right)
 
 
 def enumerate_level(n: int) -> list[PPT]:
     """All 3^n triples of tree level n, in left-to-right order."""
     if n < 0:
         raise ValueError(f"tree level must be nonnegative, got {n}")
-    keys = [_ROOT_KEY]
-    for _ in range(n):
-        keys = [child for key in keys for child in _key_children(key)]
-    return [triple_from_key(key) for key in keys]
+    for pairs in _levels(n):
+        pass
+    return [_primary_triple(q, p) for q, p in pairs]
 
 
 def walk(max_depth: int) -> Iterator[PPT]:
     """Breadth-first triples, level by level, through depth max_depth."""
     if max_depth < 0:
         raise ValueError(f"depth must be nonnegative, got {max_depth}")
-    keys = [_ROOT_KEY]
-    for depth in itertools.count():
-        for key in keys:
-            yield triple_from_key(key)
-        if depth == max_depth:
-            return
-        keys = [child for key in keys for child in _key_children(key)]
+    for pairs in _levels(max_depth):
+        for q, p in pairs:
+            yield _primary_triple(q, p)
 
 
 def iter_by_hypotenuse(bound: int) -> Iterator[PPT]:
     """Every PPT with hypotenuse <= bound, in unspecified order.
 
-    Depth-first over the tree; children never shrink the hypotenuse, so
-    subtrees above the bound are pruned whole.
+    Depth-first over the tree; children never shrink the hypotenuse
+    q^2 + p^2, so subtrees above the bound are pruned whole.
     """
     if bound < 5:
         return
-    stack = [_ROOT_KEY]
+    stack = [(1, 2)]
     while stack:
-        key = stack.pop()
-        yield triple_from_key(key)
-        for child in _key_children(key):
-            if child.p1 * child.p2 - child.q1 * child.q2 <= bound:
-                stack.append(child)
+        q, p = stack.pop()
+        yield _primary_triple(q, p)
+        for cq, cp in _children(q, p):
+            if cq * cq + cp * cp <= bound:
+                stack.append((cq, cp))
 
 
 def derive_generator(f: Fraction, kind: DerivativeKind) -> Fraction:

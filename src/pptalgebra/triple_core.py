@@ -93,14 +93,14 @@ def make_ppt(x: int, y: int, z: int) -> PPT:
     """Build a canonical PPT from three sides given in any leg order.
 
     The hypotenuse is recognized as the largest side; the legs are oriented
-    odd-first.  PPT then raises NotATriple, NotPrimitive, or InvalidParity
-    when the input is not a primitive Pythagorean triple.
+    odd-first, else smaller-first.  PPT then raises NotATriple, NotPrimitive,
+    or InvalidParity when the input is not a primitive Pythagorean triple.
     """
     for side in (x, y, z):
         if not isinstance(side, int) or side <= 0:
             raise TripleError(f"sides must be positive integers, got {side!r}")
     s, m, c = sorted((x, y, z))
-    a, b = (s, m) if s % 2 else (m, s)
+    a, b = (m, s) if s % 2 == 0 and m % 2 else (s, m)
     return PPT(a, b, c)
 
 

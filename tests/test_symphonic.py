@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pptalgebra import (
@@ -195,6 +195,21 @@ def test_surd_normalization():
     assert QuadraticSurd(2, 8, 2) == QuadraticSurd(1, 2, 1)
     assert QuadraticSurd(4, 0, 6) == QuadraticSurd(2, 0, 3)
     assert QuadraticSurd(3, 5, -2) == QuadraticSurd(-3, 5, 2)
+
+
+def test_surd_with_a_huge_common_factor_of_u_and_v():
+    # gcd(u, v) = 3 * 10^12; a scan down from there would run for about a day.
+    surd = QuadraticSurd(21 * 10**12, 9 * 2147483647, 33 * 10**12)
+    assert (surd.u, surd.d, surd.v, surd.sign) == (7 * 10**12, 2147483647, 11 * 10**12, 1)
+
+
+@given(st.integers(-300, 300), st.integers(-3000, 3000), st.integers(1, 300))
+def test_surd_factor_matches_full_scan(u, d, v):
+    # The largest g <= gcd(|u|, v) with g | u, g | v and g^2 | d.
+    assume(math.isqrt(max(d, 0)) ** 2 != d)
+    g = max(g for g in range(1, math.gcd(u, v) + 1) if u % g == 0 and v % g == 0 and d % (g * g) == 0)
+    surd = QuadraticSurd(u, d, v)
+    assert (surd.u, surd.d, surd.v) == (u // g, d // (g * g), v // g)
 
 
 def test_surd_str():

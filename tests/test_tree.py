@@ -38,7 +38,7 @@ from pptalgebra import (
     triple_from_primary,
     walk,
 )
-from pptalgebra.generators import KeySequence
+from pptalgebra.generators import KeySequence, triple_from_key
 
 
 @st.composite
@@ -50,11 +50,31 @@ def primary_fraction(draw, max_den: int = 5000):
     return Fraction(q, p)
 
 
+def naive_parent(f: Fraction):
+    """Single-step inverse formulas; the oracle for parent().
+
+    The quotient q/(p-2q) decides the letter: a proper value means A, an
+    improper one B (take the reciprocal), a negative one C (negate and take
+    the reciprocal).
+    """
+    q, p = f.numerator, f.denominator
+    if q == 1 and p == 2:
+        return ROOT
+    if q == 1 and p == 3:
+        raise SecondaryRoot("1/3 has no parent")
+    d = p - 2 * q
+    if d > q:
+        return Fraction(q, d), "A"
+    if d > 0:
+        return Fraction(d, q), "B"
+    return Fraction(-d, q), "C"
+
+
 def naive_locate(f: Fraction) -> str:
     """Single-step regression; the letter-by-letter oracle for locate()."""
     letters = []
     while True:
-        up = parent(f)
+        up = naive_parent(f)
         if isinstance(up, Root):
             return "".join(reversed(letters))
         f, letter = up
@@ -75,6 +95,22 @@ def naive_apply(f: Fraction, letters: str) -> Fraction:
     for letter in letters:
         f = naive_step(f, letter)
     return f
+
+
+def complete_key(q2: int, q1: int) -> KeySequence:
+    return KeySequence(q2, q1, q1 + q2, 2 * q1 + q2)
+
+
+def key_children(key: KeySequence) -> tuple[KeySequence, KeySequence, KeySequence]:
+    """Left, middle and right children by key-sequence completion; the oracle for enumeration."""
+    return (
+        complete_key(key.p2, key.q1),
+        complete_key(key.p2, key.p1),
+        complete_key(key.q2, key.p1),
+    )
+
+
+ROOT_KEY = KeySequence(1, 1, 2, 3)
 
 
 def pell_loop(count: int):
@@ -180,6 +216,12 @@ def test_parent_goldens():
     assert parent(Fraction(6, 11)) == (Fraction(1, 6), "C")
     assert parent(Fraction(2, 5)) == (Fraction(1, 2), "B")
     assert isinstance(parent(Fraction(1, 2)), Root)
+
+
+@given(st.fractions(min_value=0, max_value=1, max_denominator=5000))
+def test_parent_matches_single_step_formulas(f):
+    assume(0 < f < 1 and f != Fraction(1, 3))
+    assert parent(f) == naive_parent(f)
 
 
 def test_parent_of_secondary_root():
@@ -306,7 +348,7 @@ def test_levels():
 
 
 def test_levels_match_fraction_stepping():
-    # Key-sequence completion and fraction stepping must build the same levels.
+    # Generator-pair stepping and single fraction steps must build the same levels.
     generators = [ROOT_GENERATOR]
     for depth in range(5):
         assert enumerate_level(depth) == [triple_from_primary(g) for g in generators]
@@ -336,8 +378,26 @@ def test_every_small_triple_has_exactly_one_position(corpus, brute_force):
 
 
 def test_iter_by_hypotenuse_matches_brute_force(brute_force):
-    assert sorted(iter_by_hypotenuse(300)) == brute_force(300)
+    for bound in (300, 2000):
+        assert sorted(iter_by_hypotenuse(bound)) == brute_force(bound)
     assert list(iter_by_hypotenuse(4)) == []
+
+
+def test_enumeration_order_matches_key_sequence_stepping():
+    breadth_first = []
+    keys = [ROOT_KEY]
+    for _ in range(8):
+        breadth_first += [triple_from_key(key) for key in keys]
+        keys = [child for key in keys for child in key_children(key)]
+    assert list(walk(7)) == breadth_first
+
+    depth_first = []
+    stack = [ROOT_KEY]
+    while stack:
+        key = stack.pop()
+        depth_first.append(triple_from_key(key))
+        stack += [child for child in key_children(key) if triple_from_key(child).c <= 10**5]
+    assert list(iter_by_hypotenuse(10**5)) == depth_first
 
 
 # ------------------------------------------------- generator-level derivatives

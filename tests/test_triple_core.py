@@ -40,12 +40,14 @@ def test_sides_in_canonical_order():
 def test_rejects_non_triple():
     with pytest.raises(NotATriple):
         make_ppt(3, 4, 6)
+    with pytest.raises(NotATriple, match=r"^6\^2 \+ 8\^2 != 9\^2$"):
+        make_ppt(6, 8, 9)
     with pytest.raises(NotATriple):
         make_ppt(1, 1, 1)
 
 
 def test_rejects_common_factor():
-    with pytest.raises(NotPrimitive):
+    with pytest.raises(NotPrimitive, match="^legs 6, 8 share a common factor$"):
         make_ppt(6, 8, 10)
     with pytest.raises(NotPrimitive):
         make_ppt(9, 12, 15)
