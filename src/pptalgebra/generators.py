@@ -16,8 +16,8 @@ __all__ = [
     "triple_from_key", "triple_from_primary", "triple_from_secondary",
 ]
 
-_FRACTION_RE = re.compile(r"^(\d+)/(\d+)$")
-_KEY_SEQUENCE_RE = re.compile(r"^\[(\d+),(\d+),(\d+),(\d+)\]$")
+_FRACTION_RE = re.compile(r"([0-9]+)/([0-9]+)")
+_KEY_SEQUENCE_RE = re.compile(r"\[([0-9]+),([0-9]+),([0-9]+),([0-9]+)\]")
 
 
 class WrongParity(TripleError):
@@ -41,7 +41,7 @@ def require_proper(f: Fraction) -> Fraction:
 
 def parse_fraction(text: str) -> Fraction:
     """Parse the "q/p" wire format (ASCII digits, no spaces) into a proper fraction."""
-    m = _FRACTION_RE.match(text)
+    m = _FRACTION_RE.fullmatch(text)
     if not m:
         raise ValueError(f"malformed fraction {text!r}, expected q/p")
     return proper_fraction(int(m.group(1)), int(m.group(2)))
@@ -90,7 +90,7 @@ class KeySequence:
 
 def parse_key_sequence(text: str) -> KeySequence:
     """Parse the "[q2,q1,p1,p2]" wire format."""
-    m = _KEY_SEQUENCE_RE.match(text)
+    m = _KEY_SEQUENCE_RE.fullmatch(text)
     if not m:
         raise ValueError(f"malformed key sequence {text!r}, expected [q2,q1,p1,p2]")
     return KeySequence(*(int(g) for g in m.groups()))

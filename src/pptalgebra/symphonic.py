@@ -8,7 +8,7 @@ from enum import Enum
 from fractions import Fraction
 from numbers import Rational
 
-from .triple_core import PPT, TClass, TripleError, classify, make_ppt
+from .triple_core import PPT, TClass, classify, make_ppt
 from .generators import generators_of
 
 __all__ = [
@@ -38,10 +38,6 @@ class SquarePair:
     s: Fraction
 
 
-def _is_square(n: int) -> bool:
-    return n >= 0 and math.isqrt(n) ** 2 == n
-
-
 @dataclass(frozen=True)
 class QuadraticSurd:
     """Exact value (u + sign*sqrt(d))/v with integer u, d and positive v.
@@ -64,15 +60,16 @@ class QuadraticSurd:
             raise ValueError("zero denominator")
         if v < 0:
             u, v = -u, -v
-        if _is_square(d):
-            u += sign * math.isqrt(d)
+        root = math.isqrt(abs(d))
+        if root * root == d:
+            u += sign * root
             d, sign = 0, 1
         if d == 0:
             g = math.gcd(u, v)
         else:
             g = 1
             # g divides u, v and d, and g^2 <= |d|; the scan stays linear in gcd(u, v, d).
-            top = min(math.gcd(u, v, d), math.isqrt(abs(d)))
+            top = min(math.gcd(u, v, d), root)
             for cand in range(top, 1, -1):
                 if u % cand == 0 and v % cand == 0 and d % (cand * cand) == 0:
                     g = cand
@@ -192,6 +189,23 @@ def corollary_generators(t: PPT, kind: DerivativeKind) -> tuple[Fraction, Fracti
     return Fraction(lo * hi, (c - lo) * (c + hi)), Fraction(hi - lo, c)
 
 
+def _preimage(t: PPT, kind: DerivativeKind) -> tuple[int, int, int, PPT | None]:
+    # (u, disc, hyp, integral): the roots (u +- sqrt(disc))/2 are the preimage legs up to sign.
+    # With Q/P the primary generator, t = (P^2 - Q^2, 2PQ, P^2 + Q^2) and P +- Q are odd.
+    # A square disc gives legs x, y with x + y = P + Q (major) or x - y = P - Q (minor)
+    # and xy = 2PQ, so both are positive and x^2 + y^2 = hyp^2 with hyp = P -+ Q.  A prime
+    # dividing both legs divides P + Q and P - Q, hence P and Q, so the legs are coprime.
+    # Their derivative is (P^2 - Q^2, 2PQ, P^2 + Q^2) = t, so nothing is re-checked here.
+    t1, _ = generators_of(t)
+    q, p = t1.numerator, t1.denominator
+    sign = 1 if kind is DerivativeKind.MAJOR else -1
+    u, hyp = p + sign * q, p - sign * q
+    disc = u * u - sign * 8 * p * q
+    m = math.isqrt(max(disc, 0))
+    integral = make_ppt((u + m) // 2, abs(u - m) // 2, hyp) if m * m == disc else None
+    return u, disc, hyp, integral
+
+
 def anti_derivative(t: PPT, kind: DerivativeKind) -> AntiDerivative:
     """Invert a derivative exactly.
 
@@ -199,35 +213,17 @@ def anti_derivative(t: PPT, kind: DerivativeKind) -> AntiDerivative:
     of x^2 - (P+Q)x + 2PQ and its hypotenuse is P-Q; the minor preimage has
     hypotenuse P+Q and root pair ((P-Q) +- sqrt((P-Q)^2 + 8PQ))/2, read as
     (larger leg, -smaller leg).  Roots are returned as exact surds; `integral`
-    is set only when they collapse to the legs of a primitive triple whose
-    derivative reproduces t.
+    is set exactly when they collapse to integers, which are then the legs of
+    a primitive triple whose derivative is t.
     """
-    t1, _ = generators_of(t)
-    q, p = t1.numerator, t1.denominator
-    if kind is DerivativeKind.MAJOR:
-        u, hyp = p + q, p - q
-        disc = u * u - 8 * p * q
-    else:
-        u, hyp = p - q, p + q
-        disc = u * u + 8 * p * q
+    u, disc, hyp, integral = _preimage(t, kind)
     roots = (QuadraticSurd(u, disc, 2, 1), QuadraticSurd(u, disc, 2, -1))
-    integral: PPT | None = None
-    if _is_square(disc):
-        m = math.isqrt(disc)
-        legs = ((u + m) // 2, (u - m) // 2) if kind is DerivativeKind.MAJOR else ((u + m) // 2, (m - u) // 2)
-        if legs[0] > 0 and legs[1] > 0:
-            try:
-                candidate = make_ppt(legs[0], legs[1], hyp)
-            except TripleError:
-                candidate = None
-            if candidate is not None and derivative(candidate, kind) == t:
-                integral = candidate
     return AntiDerivative(kind, roots, hyp, integral)
 
 
 def is_derivative(t: PPT, kind: DerivativeKind) -> PPT | None:
     """The integral anti-derivative of t under `kind`, or None when there is none."""
-    return anti_derivative(t, kind).integral
+    return _preimage(t, kind)[3]
 
 
 def factor_class_transition(t: PPT) -> tuple[TClass, TClass]:

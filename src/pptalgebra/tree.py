@@ -83,6 +83,8 @@ class PathCode:
         for letter, count in self.runs:
             if letter not in ("A", "B", "C"):
                 raise ValueError(f"path letter must be A, B or C, got {letter!r}")
+            if not isinstance(count, int):
+                raise ValueError(f"run length must be an integer, got {count!r} for {letter}")
             if count < 0:
                 raise ValueError(f"negative run length {count} for {letter}")
             if count == 0:

@@ -8,8 +8,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pptalgebra import (
+    ROOT_GENERATOR,
     AntiDerivative,
     DerivativeKind,
+    Family,
+    FamilyLine,
+    PathCode,
     QuadraticSurd,
     TClass,
     anti_derivative,
@@ -28,6 +32,9 @@ from pptalgebra import (
     reciprocal_triple,
     square_triangle_triple,
     altitude_kappa,
+    apply_path,
+    family_member,
+    iter_by_hypotenuse,
     triple_from_primary,
     triple_from_secondary,
     trivial_reciprocal_solution,
@@ -249,13 +256,38 @@ def test_anti_derivative_integral_golden():
     assert is_derivative(make_ppt(5, 12, 13), MINOR) == make_ppt(3, 4, 5)
 
 
+# Triples of about 10^4 bits, to run the integer square root far past float range.
+BIG_TRIPLES = [
+    family_member(Family(FamilyLine.FERMAT, 4000)),
+    family_member(Family(FamilyLine.PLATONIC, 10**1200)),
+    family_member(Family(FamilyLine.PYTHAGOREAN, 10**1200)),
+    triple_from_primary(apply_path(ROOT_GENERATOR, PathCode.parse("A^1000 B^3000 C^1000"))),
+]
+
+
 def test_anti_derivative_round_trip(corpus):
-    for t in corpus[:2000]:
+    for t in corpus[:2000] + BIG_TRIPLES:
         for kind in (MAJOR, MINOR):
             d = derivative(t, kind)
             back = anti_derivative(d, kind)
             assert back.integral == t
             assert back.hypotenuse == t.c
+
+
+def test_is_derivative_matches_forward_table():
+    # A preimage's hypotenuse is below its image's, so mapping every triple with
+    # c <= bound forward finds every preimage of every triple with c <= bound.
+    bound = 20000
+    triples = list(iter_by_hypotenuse(bound))
+    for kind in (MAJOR, MINOR):
+        table = {derivative(s, kind): s for s in triples}
+        hits = 0
+        for t in triples:
+            expected = table.get(t)
+            hits += expected is not None
+            assert is_derivative(t, kind) == expected
+            assert anti_derivative(t, kind).integral == expected
+        assert hits > 0
 
 
 def test_root_triple_is_underivable():

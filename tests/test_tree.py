@@ -194,6 +194,8 @@ def test_invalid_codes_rejected():
         PathCode((("A", -1),))
     with pytest.raises(ValueError):
         PathCode((("D", 1),))
+    with pytest.raises(ValueError):
+        PathCode((("A", 1.5),))
 
 
 # ------------------------------------------------------------- single steps
