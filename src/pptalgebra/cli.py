@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .triple_core import (
     PPT,
@@ -21,6 +22,7 @@ from .triple_core import (
     make_ppt,
 )
 from .generators import (
+    _generator_pair,
     format_fraction,
     generators_of,
     key_sequence_of,
@@ -147,7 +149,7 @@ def _cmd_locate(args: argparse.Namespace) -> tuple[dict, list[str]]:
     elif len(args.target) == 3:
         t = make_ppt(*(int(side) for side in args.target))
         payload["triple"] = _triple_dict(t)
-        f = generators_of(t)[0]
+        f = Fraction(*_generator_pair(t))
     else:
         raise ValueError("locate takes a fraction q/p or three sides")
     code = locate(f)
@@ -282,7 +284,7 @@ def fermat_demo() -> dict:
     it, and shows it is neither a major nor a minor derivative.
     """
     t = make_ppt(*_FERMAT_SIDES)
-    f = generators_of(t)[0]
+    f = Fraction(*_generator_pair(t))
     steps = []
     cur = f
     while True:

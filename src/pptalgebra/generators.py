@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .triple_core import PPT, TripleError
+from .triple_core import PPT, TripleError, _proven_ppt
 
 __all__ = [
     "KeySequence", "Radii", "WrongParity", "format_fraction", "generators_of",
@@ -113,9 +113,18 @@ class Radii:
             raise ValueError(f"({self.r1}, {self.r2}, {self.r3}, {self.r4}) violates the radius identities")
 
 
+def _generator_pair(t: PPT) -> tuple[int, int]:
+    # The primary generator q/p of t in lowest terms, with no Fraction and no gcd:
+    # t = (p^2 - q^2, 2pq, p^2 + q^2) for coprime q < p, so c + a = 2p^2 and b = 2pq.
+    p = math.isqrt((t.c + t.a) // 2)
+    return t.b // (2 * p), p
+
+
 def generators_of(t: PPT) -> tuple[Fraction, Fraction]:
     """Primary and secondary generators: the half-angle tangents b/(c+a) and a/(c+b)."""
-    return Fraction(t.b, t.c + t.a), Fraction(t.a, t.c + t.b)
+    q, p = _generator_pair(t)
+    # a/(c+b) = (p-q)(p+q)/(p+q)^2
+    return Fraction(q, p), Fraction(p - q, p + q)
 
 
 def key_sequence_from_fraction(f: Fraction) -> KeySequence:
@@ -133,8 +142,8 @@ def key_sequence_from_fraction(f: Fraction) -> KeySequence:
 
 def key_sequence_of(t: PPT) -> KeySequence:
     """The key sequence whose inner pair is the primary generator and outer pair the secondary."""
-    t1, t2 = generators_of(t)
-    return KeySequence(t2.numerator, t1.numerator, t1.denominator, t2.denominator)
+    q, p = _generator_pair(t)
+    return KeySequence(p - q, q, p, p + q)
 
 
 def triple_from_key(k: KeySequence) -> PPT:
@@ -152,8 +161,12 @@ def triple_from_primary(f: Fraction) -> PPT:
 
 
 def _primary_triple(q: int, p: int) -> PPT:
-    # triple_from_primary without the input checks, for generators known proper and odd-sum.
-    return PPT(p * p - q * q, 2 * p * q, p * p + q * q)
+    # triple_from_primary without the input checks, for coprime q < p of opposite parity.
+    # Euclid: p^2 - q^2 is then odd and 2pq even, and a prime dividing p^2 - q^2 and
+    # p^2 + q^2 is odd and divides 2p^2 and 2q^2, hence p and q.  A common factor of two
+    # sides divides the third, so the triple is primitive and canonically oriented, and
+    # PPT need not check it again.
+    return _proven_ppt(p * p - q * q, 2 * p * q, p * p + q * q)
 
 
 def triple_from_secondary(f: Fraction) -> PPT:

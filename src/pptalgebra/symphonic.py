@@ -8,8 +8,8 @@ from enum import Enum
 from fractions import Fraction
 from numbers import Rational
 
-from .triple_core import PPT, TClass, classify, make_ppt
-from .generators import generators_of
+from .triple_core import PPT, TClass, _proven_ppt, classify, make_ppt
+from .generators import _generator_pair
 
 __all__ = [
     "AntiDerivative", "DerivativeKind", "IntegerSquareScale", "QuadraticSurd",
@@ -195,15 +195,17 @@ def _preimage(t: PPT, kind: DerivativeKind) -> tuple[int, int, int, PPT | None]:
     # A square disc gives legs x, y with x + y = P + Q (major) or x - y = P - Q (minor)
     # and xy = 2PQ, so both are positive and x^2 + y^2 = hyp^2 with hyp = P -+ Q.  A prime
     # dividing both legs divides P + Q and P - Q, hence P and Q, so the legs are coprime.
-    # Their derivative is (P^2 - Q^2, 2PQ, P^2 + Q^2) = t, so nothing is re-checked here.
-    t1, _ = generators_of(t)
-    q, p = t1.numerator, t1.denominator
+    # Two odd squares sum to 2 mod 4, so exactly one leg is odd; it goes first.  Their
+    # derivative is (P^2 - Q^2, 2PQ, P^2 + Q^2) = t, so nothing is re-checked here.
+    q, p = _generator_pair(t)
     sign = 1 if kind is DerivativeKind.MAJOR else -1
     u, hyp = p + sign * q, p - sign * q
     disc = u * u - sign * 8 * p * q
     m = math.isqrt(max(disc, 0))
-    integral = make_ppt((u + m) // 2, abs(u - m) // 2, hyp) if m * m == disc else None
-    return u, disc, hyp, integral
+    if m * m != disc:
+        return u, disc, hyp, None
+    x, y = (u + m) // 2, abs(u - m) // 2
+    return u, disc, hyp, _proven_ppt(x, y, hyp) if x % 2 else _proven_ppt(y, x, hyp)
 
 
 def anti_derivative(t: PPT, kind: DerivativeKind) -> AntiDerivative:

@@ -18,9 +18,9 @@ from fractions import Fraction
 
 from .triple_core import PPT, TripleError
 from .generators import (
+    _generator_pair,
     _primary_triple,
     format_fraction,
-    generators_of,
     require_proper,
     triple_from_primary,
 )
@@ -61,7 +61,7 @@ ROOT = Root()
 
 ROOT_GENERATOR = Fraction(1, 2)
 
-_TOKEN_RE = re.compile(r"([ABC])(?:\^(\d+))?")
+_TOKEN_RE = re.compile(r"([ABC])(?:\^([0-9]+))?")
 
 # Longest code printed letter-by-letter; anything longer renders run-length.
 _MAX_EXPANDED_LETTERS = 10_000
@@ -97,11 +97,11 @@ class PathCode:
 
     @classmethod
     def parse(cls, text: str) -> "PathCode":
-        """Parse letters with optional run-length tokens: 'AACAA', 'C^13', 'AA C^16 B'."""
+        """Parse letters with optional run-length tokens, ASCII only: 'AACAA', 'C^13', 'AA C^16 B'."""
         runs = []
         pos, end = 0, len(text)
         while pos < end:
-            if text[pos].isspace():
+            if text[pos] in " \t\n\r\f\v":
                 pos += 1
                 continue
             match = _TOKEN_RE.match(text, pos)
@@ -253,8 +253,7 @@ def _levels(depth: int) -> Iterator[list[tuple[int, int]]]:
 
 def children(t: PPT) -> tuple[PPT, PPT, PPT]:
     """The left, middle and right successors of a triple."""
-    f = generators_of(t)[0]
-    left, middle, right = _children(f.numerator, f.denominator)
+    left, middle, right = _children(*_generator_pair(t))
     return _primary_triple(*left), _primary_triple(*middle), _primary_triple(*right)
 
 

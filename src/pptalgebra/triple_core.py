@@ -89,6 +89,16 @@ class DivisibilityWitness:
     five_divides: str  # "a", "b", or "c"
 
 
+def _proven_ppt(a: int, b: int, c: int) -> PPT:
+    # A PPT without the checks, for sides a caller has proven canonical and primitive.
+    # Setting the fields in declaration order keeps CPython's key-sharing instance dicts.
+    t = object.__new__(PPT)
+    object.__setattr__(t, "a", a)
+    object.__setattr__(t, "b", b)
+    object.__setattr__(t, "c", c)
+    return t
+
+
 def make_ppt(x: int, y: int, z: int) -> PPT:
     """Build a canonical PPT from three sides given in any leg order.
 

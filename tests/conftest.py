@@ -5,7 +5,17 @@ import math
 import pytest
 from hypothesis import settings
 
-from pptalgebra import PPT, walk
+from pptalgebra import (
+    PPT,
+    ROOT_GENERATOR,
+    Family,
+    FamilyLine,
+    PathCode,
+    apply_path,
+    family_member,
+    triple_from_primary,
+    walk,
+)
 
 settings.register_profile("suite", deadline=None, max_examples=100)
 settings.load_profile("suite")
@@ -46,3 +56,14 @@ def corpus() -> list[PPT]:
 def small_corpus() -> list[PPT]:
     """All 1093 triples through tree depth 6."""
     return list(walk(6))
+
+
+@pytest.fixture(scope="session")
+def big_triples() -> list[PPT]:
+    """Triples with 7.7k-10.2k-bit hypotenuses, far past float range."""
+    return [
+        family_member(Family(FamilyLine.FERMAT, 4000)),
+        family_member(Family(FamilyLine.PLATONIC, 10**1200)),
+        family_member(Family(FamilyLine.PYTHAGOREAN, 10**1200)),
+        triple_from_primary(apply_path(ROOT_GENERATOR, PathCode.parse("A^1000 B^3000 C^1000"))),
+    ]

@@ -465,6 +465,8 @@ def test_text_and_json_agree(cli, argv):
         (["family", "platonic", "0"], "ValueError"),
         (["level", "13"], "ValueError"),
         (["level", "3", "--max-depth", "2"], "ValueError"),
+        (["path", "A^\u0663"], "ValueError"),
+        (["path", "A\u3000B"], "ValueError"),
     ],
 )
 def test_domain_errors(cli, argv, name):

@@ -1,0 +1,77 @@
+"""The private integer hot path: the generator pair and triples built without re-checking."""
+
+import math
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from pptalgebra import (
+    PPT,
+    DerivativeKind,
+    anti_derivative,
+    children,
+    enumerate_level,
+    generators_of,
+    is_derivative,
+    iter_by_hypotenuse,
+    triple_from_primary,
+)
+from pptalgebra.generators import _generator_pair
+
+
+@st.composite
+def primary_pair(draw):
+    # Coprime q < p of opposite parity, small or far past 10^9.
+    p = draw(st.one_of(st.integers(2, 1000), st.integers(2, 2**512)))
+    q = draw(st.integers(1, p - 1))
+    assume((p + q) % 2 == 1 and math.gcd(q, p) == 1)
+    return q, p
+
+
+def _half_angle(t: PPT) -> tuple[int, int]:
+    # The defining tangent b/(c+a) of the primary generator, reduced by Fraction's gcd.
+    return Fraction(t.b, t.c + t.a).as_integer_ratio()
+
+
+@given(primary_pair())
+def test_generator_pair_is_the_half_angle_tangent(pair):
+    t = triple_from_primary(Fraction(*pair))
+    assert _generator_pair(t) == _half_angle(t) == pair
+    assert generators_of(t)[0].as_integer_ratio() == pair
+
+
+def test_generator_pair_on_big_triples(big_triples):
+    for t in big_triples:
+        assert _generator_pair(t) == _half_angle(t)
+        assert generators_of(t)[0].as_integer_ratio() == _half_angle(t)
+
+
+def _assert_same_as_checked(t):
+    checked = PPT(*t.sides())
+    assert type(t) is PPT
+    assert t == checked
+    assert hash(t) == hash(checked)
+    with pytest.raises(FrozenInstanceError):
+        t.a = checked.a
+
+
+def test_proven_triples_equal_checked_ones():
+    sweep = list(iter_by_hypotenuse(10**5))
+    built = enumerate_level(8) + sweep
+    for t in sweep:
+        built.extend(children(t))
+    hits = 0
+    for t in sweep:
+        for kind in DerivativeKind:
+            pre = is_derivative(t, kind)
+            assert anti_derivative(t, kind).integral == pre
+            if pre is not None:
+                hits += 1
+                built.append(pre)
+                built.append(anti_derivative(t, kind).integral)
+    assert hits > 0
+    for t in built:
+        _assert_same_as_checked(t)

@@ -8,12 +8,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pptalgebra import (
-    ROOT_GENERATOR,
     AntiDerivative,
     DerivativeKind,
-    Family,
-    FamilyLine,
-    PathCode,
     QuadraticSurd,
     TClass,
     anti_derivative,
@@ -32,8 +28,6 @@ from pptalgebra import (
     reciprocal_triple,
     square_triangle_triple,
     altitude_kappa,
-    apply_path,
-    family_member,
     iter_by_hypotenuse,
     triple_from_primary,
     triple_from_secondary,
@@ -256,17 +250,8 @@ def test_anti_derivative_integral_golden():
     assert is_derivative(make_ppt(5, 12, 13), MINOR) == make_ppt(3, 4, 5)
 
 
-# Triples of about 10^4 bits, to run the integer square root far past float range.
-BIG_TRIPLES = [
-    family_member(Family(FamilyLine.FERMAT, 4000)),
-    family_member(Family(FamilyLine.PLATONIC, 10**1200)),
-    family_member(Family(FamilyLine.PYTHAGOREAN, 10**1200)),
-    triple_from_primary(apply_path(ROOT_GENERATOR, PathCode.parse("A^1000 B^3000 C^1000"))),
-]
-
-
-def test_anti_derivative_round_trip(corpus):
-    for t in corpus[:2000] + BIG_TRIPLES:
+def test_anti_derivative_round_trip(corpus, big_triples):
+    for t in corpus[:2000] + big_triples:
         for kind in (MAJOR, MINOR):
             d = derivative(t, kind)
             back = anti_derivative(d, kind)

@@ -187,7 +187,7 @@ def test_compact_rendering():
 
 
 def test_invalid_codes_rejected():
-    for bad in ("AD", "a", "A^", "^3", "A^-2", "A 3"):
+    for bad in ("AD", "a", "A^", "^3", "A^-2", "A 3", "A^\u0663", "A^\uff13", "A\u3000B", "A\u00a0B"):
         with pytest.raises(ValueError):
             PathCode.parse(bad)
     with pytest.raises(ValueError):
