@@ -189,9 +189,21 @@ def corollary_generators(t: PPT, kind: DerivativeKind) -> tuple[Fraction, Fracti
     return Fraction(lo * hi, (c - lo) * (c + hi)), Fraction(hi - lo, c)
 
 
-def _preimage(t: PPT, kind: DerivativeKind) -> tuple[int, int, int, PPT | None]:
-    # (u, disc, hyp, integral): the roots (u +- sqrt(disc))/2 are the preimage legs up to sign.
-    # With Q/P the primary generator, t = (P^2 - Q^2, 2PQ, P^2 + Q^2) and P +- Q are odd.
+def _proven_surd(u: int, d: int, v: int, sign: int) -> QuadraticSurd:
+    # A QuadraticSurd without normalising, for fields a caller has proven normal;
+    # like _proven_ppt, it sets the fields in declaration order.
+    s = object.__new__(QuadraticSurd)
+    object.__setattr__(s, "u", u)
+    object.__setattr__(s, "d", d)
+    object.__setattr__(s, "v", v)
+    object.__setattr__(s, "sign", sign)
+    return s
+
+
+def _preimage(t: PPT, kind: DerivativeKind) -> tuple[int, int, int, int, PPT | None]:
+    # (u, disc, m, hyp, integral): the roots (u +- sqrt(disc))/2 are the preimage legs up
+    # to sign, and m = isqrt(max(disc, 0)).  With Q/P the primary generator,
+    # t = (P^2 - Q^2, 2PQ, P^2 + Q^2) and P +- Q are odd.
     # A square disc gives legs x, y with x + y = P + Q (major) or x - y = P - Q (minor)
     # and xy = 2PQ, so both are positive and x^2 + y^2 = hyp^2 with hyp = P -+ Q.  A prime
     # dividing both legs divides P + Q and P - Q, hence P and Q, so the legs are coprime.
@@ -203,9 +215,9 @@ def _preimage(t: PPT, kind: DerivativeKind) -> tuple[int, int, int, PPT | None]:
     disc = u * u - sign * 8 * p * q
     m = math.isqrt(max(disc, 0))
     if m * m != disc:
-        return u, disc, hyp, None
+        return u, disc, m, hyp, None
     x, y = (u + m) // 2, abs(u - m) // 2
-    return u, disc, hyp, _proven_ppt(x, y, hyp) if x % 2 else _proven_ppt(y, x, hyp)
+    return u, disc, m, hyp, _proven_ppt(x, y, hyp) if x % 2 else _proven_ppt(y, x, hyp)
 
 
 def anti_derivative(t: PPT, kind: DerivativeKind) -> AntiDerivative:
@@ -218,14 +230,22 @@ def anti_derivative(t: PPT, kind: DerivativeKind) -> AntiDerivative:
     is set exactly when they collapse to integers, which are then the legs of
     a primitive triple whose derivative is t.
     """
-    u, disc, hyp, integral = _preimage(t, kind)
-    roots = (QuadraticSurd(u, disc, 2, 1), QuadraticSurd(u, disc, 2, -1))
+    u, disc, m, hyp, integral = _preimage(t, kind)
+    # The roots are what QuadraticSurd(u, disc, 2, +-1) normalises to.  u = P +- Q
+    # is odd, so no g > 1 divides both u and 2 and (u, disc, 2) is in lowest terms.
+    # A square disc = m^2, the case with an integral preimage, collapses to the integers
+    # (u +- m)/2 over 1 as the public constructor does; disc = u^2 -+ 8PQ is odd, so
+    # u +- m is even.
+    if integral is not None:
+        roots = (_proven_surd((u + m) // 2, 0, 1, 1), _proven_surd((u - m) // 2, 0, 1, 1))
+    else:
+        roots = (_proven_surd(u, disc, 2, 1), _proven_surd(u, disc, 2, -1))
     return AntiDerivative(kind, roots, hyp, integral)
 
 
 def is_derivative(t: PPT, kind: DerivativeKind) -> PPT | None:
     """The integral anti-derivative of t under `kind`, or None when there is none."""
-    return _preimage(t, kind)[3]
+    return _preimage(t, kind)[4]
 
 
 def factor_class_transition(t: PPT) -> tuple[TClass, TClass]:

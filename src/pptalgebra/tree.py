@@ -11,7 +11,7 @@ contain runs far too long to materialize letter by letter.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -153,11 +153,12 @@ def step(f: Fraction, letter: str) -> Fraction:
 
 
 def _up(q: int, p: int) -> tuple[str, int, int, int]:
-    # The maximal run ending at q/p: (letter, count, parent q, parent p).
-    # d = p - 2q picks the letter: d > q means A, 0 < d <= q means B, else C.
-    # An A run subtracts 2q from p with q fixed and a C run subtracts the
-    # invariant p - q from both, so their lengths come from one division;
-    # B steps shrink the pair geometrically and are taken singly.
+    # The maximal run ending at q/p, for 0 < q < p: (letter, count, parent q,
+    # parent p).  d = p - 2q picks the letter: d > q means A, 0 < d <= q means
+    # B, else C.  An A run subtracts 2q from p with q fixed and a C run
+    # subtracts the invariant p - q from both, so their lengths come from one
+    # division.  A B step shrinks the pair geometrically, so B comes one letter
+    # at a time; locate batches B runs by regressing small top bits instead.
     d = p - 2 * q
     if d > q:
         count = (p - q - 1) // (2 * q)
@@ -167,6 +168,42 @@ def _up(q: int, p: int) -> tuple[str, int, int, int]:
     delta = p - q
     count = (q - 1) // delta
     return "C", count, q - count * delta, p - count * delta
+
+
+# Generators whose p has more bits than this regress in chunks.  Below it a
+# full-size pass costs about what a chunk spends per run in small ints.
+_CHUNK_FROM_BITS = 6000
+# A chunk regresses the top _TOP_BITS of (q, p) in small ints and stops before
+# the small p falls below _TOP_FLOOR: the truncation error grows like the
+# entries of the chunk's matrix, so only about the top half stays trustworthy.
+_TOP_BITS = 1024
+_TOP_FLOOR = 1 << 600
+
+
+def _top_chunk(q: int, p: int) -> tuple[list[tuple[str, int]], int, int]:
+    # Regress the top bits of (q, p) in small ints.  Returns the runs taken,
+    # bottom first, and the pair that undoing them sends (q, p) to.  The runs
+    # are the true top of the path exactly when that pair is strictly in the
+    # domain 0 < q < p: the forward maps send (0, 1) onto the disjoint open
+    # intervals (0, 1/3), (1/3, 1/2) and (1/2, 1), so a proper preimage fixes
+    # every letter above it.  A wrong truncated guess only fails that test.
+    shift = p.bit_length() - _TOP_BITS
+    a, b = q >> shift, p >> shift
+    runs: list[tuple[str, int]] = []
+    while 0 < a < b:
+        letter, count, a, b = _up(a, b)
+        if count == 0 or b < _TOP_FLOOR:
+            break
+        if runs and runs[-1][0] == letter:  # only B comes one letter at a time
+            runs[-1] = (letter, runs[-1][1] + count)
+        else:
+            runs.append((letter, count))
+    if not runs:
+        return runs, 0, 0
+    # The runs' forward matrix is unimodular, so its inverse is det * adjugate.
+    w, x, y, z = _path_matrix(reversed(runs))
+    det = w * z - x * y
+    return runs, det * (z * q - x * p), det * (w * p - y * q)
 
 
 def parent(f: Fraction) -> tuple[Fraction, str] | Root:
@@ -185,56 +222,88 @@ def parent(f: Fraction) -> tuple[Fraction, str] | Root:
 
 
 def locate(f: Fraction) -> PathCode:
-    """Path code from the root 1/2 down to the generator f, one whole run at a time."""
+    """Path code from the root 1/2 down to the generator f.
+
+    Generators past a few thousand bits regress in chunks: a kilobit of top
+    bits is regressed in small ints, and the chunk's matrix is applied to the
+    full pair once, so each full-size pass takes off about 400 bits rather
+    than one run or one B letter.
+    """
     require_proper(f)
     q, p = f.numerator, f.denominator
     reversed_runs: list[tuple[str, int]] = []
     while not (q == 1 and p == 2):
         if q == 1 and p == 3:
-            raise NotInPrimaryTree(
-                f"{format_fraction(f)} regresses to 1/3; it generates no triple"
-            )
+            try:
+                shown = format_fraction(f)
+            except ValueError:  # past the interpreter's int-to-str digit limit
+                shown = f"a {f.denominator.bit_length()}-bit generator"
+            raise NotInPrimaryTree(f"{shown} regresses to 1/3; it generates no triple")
+        if p.bit_length() > _CHUNK_FROM_BITS:
+            runs, q_up, p_up = _top_chunk(q, p)
+            if runs and 0 < q_up < p_up:
+                reversed_runs += runs
+                q, p = q_up, p_up
+                continue
         letter, count, q, p = _up(q, p)
         reversed_runs.append((letter, count))
     return PathCode(tuple(reversed(reversed_runs)))
 
 
-def _b_run(q: int, p: int, count: int) -> tuple[int, int]:
-    # (q, p) -> (p, q + 2p) iterated `count` times, via 2x2 matrix power.
-    xa, xb, xc, xd = 1, 0, 0, 1
-    ya, yb, yc, yd = 0, 1, 1, 2
-    while count:
+def _mat_mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, int, int, int]:
+    # Product of two row-major 2x2 matrices.
+    return (
+        x[0] * y[0] + x[1] * y[2],
+        x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2],
+        x[2] * y[1] + x[3] * y[3],
+    )
+
+
+def _b_power(count: int) -> tuple[int, int, int, int]:
+    # The matrix of (q, p) -> (p, q + 2p) iterated count >= 1 times, by
+    # squaring; its entries are the Pell numbers p(count - 1), p(count), p(count + 1).
+    power, base = (1, 0, 0, 1), (0, 1, 1, 2)
+    while True:
         if count & 1:
-            xa, xb, xc, xd = (
-                xa * ya + xb * yc,
-                xa * yb + xb * yd,
-                xc * ya + xd * yc,
-                xc * yb + xd * yd,
-            )
-        ya, yb, yc, yd = (
-            ya * ya + yb * yc,
-            ya * yb + yb * yd,
-            yc * ya + yd * yc,
-            yc * yb + yd * yd,
-        )
+            power = _mat_mul(power, base)
         count >>= 1
-    return xa * q + xb * p, xc * q + xd * p
+        if not count:
+            return power
+        base = _mat_mul(base, base)
+
+
+def _run_matrix(letter: str, count: int) -> tuple[int, int, int, int]:
+    # The forward map of `count` letters on the column (q, p), row-major.
+    if letter == "A":
+        return 1, 0, 2 * count, 1
+    if letter == "C":
+        return 1 - count, count, -count, 1 + count
+    return _b_power(count)
+
+
+def _path_matrix(runs: Iterable[tuple[str, int]]) -> tuple[int, int, int, int]:
+    # The product of the run matrices, later runs on the left, by binary
+    # splitting: a stack merges products of equally many runs, so the big
+    # products pair numbers of like size and only O(log runs) are held at once.
+    stack: list[tuple[tuple[int, int, int, int], int]] = []
+    for letter, count in runs:
+        m, size = _run_matrix(letter, count), 1
+        while stack and stack[-1][1] == size:
+            m, size = _mat_mul(m, stack.pop()[0]), 2 * size
+        stack.append((m, size))
+    product = (1, 0, 0, 1)
+    for m, _ in stack:
+        product = _mat_mul(m, product)
+    return product
 
 
 def apply_path(f: Fraction, code: PathCode) -> Fraction:
-    """Follow a path code downward from f, one whole run at a time."""
+    """Follow a path code downward from f: one matrix for the whole code, applied once."""
     require_proper(f)
     q, p = f.numerator, f.denominator
-    for letter, count in code.runs:
-        if letter == "A":
-            p += 2 * count * q
-        elif letter == "C":
-            delta = p - q
-            q += count * delta
-            p += count * delta
-        else:
-            q, p = _b_run(q, p, count)
-    return Fraction(q, p)
+    a, b, c, d = _path_matrix(code.runs)
+    return Fraction(a * q + b * p, c * q + d * p)
 
 
 def _children(q: int, p: int) -> tuple[tuple[int, int], ...]:
@@ -317,7 +386,7 @@ def pell(n: int) -> PellPair:
     """
     if n < 1:
         raise ValueError(f"Pell index must be positive, got {n}")
-    p, p_next = _b_run(0, 1, n)
+    _, p, _, p_next = _b_power(n)
     return PellPair(n, p, p_next - p)
 
 

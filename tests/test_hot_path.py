@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pptalgebra import (
     PPT,
     DerivativeKind,
+    QuadraticSurd,
     anti_derivative,
     children,
     enumerate_level,
@@ -75,3 +76,25 @@ def test_proven_triples_equal_checked_ones():
     assert hits > 0
     for t in built:
         _assert_same_as_checked(t)
+
+
+def test_anti_derivative_roots_equal_checked_surds(big_triples):
+    # The roots are built without QuadraticSurd's normalisation; they must equal
+    # what the public constructor makes of (u, disc, 2, +-1), field for field.
+    hits = 0
+    for t in list(iter_by_hypotenuse(20000)) + big_triples:
+        q, p = generators_of(t)[0].as_integer_ratio()
+        for kind, sign in ((DerivativeKind.MAJOR, 1), (DerivativeKind.MINOR, -1)):
+            u = p + sign * q
+            disc = u * u - sign * 8 * p * q
+            got = anti_derivative(t, kind)
+            assert got.kind is kind
+            assert got.hypotenuse == p - sign * q
+            assert got.integral == is_derivative(t, kind)
+            hits += got.integral is not None
+            for root, root_sign in zip(got.roots, (1, -1)):
+                checked = QuadraticSurd(u, disc, 2, root_sign)
+                assert type(root) is QuadraticSurd
+                assert (root.u, root.d, root.v, root.sign) == (checked.u, checked.d, checked.v, checked.sign)
+                assert root == checked and hash(root) == hash(checked)
+    assert hits > 0

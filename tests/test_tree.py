@@ -1,10 +1,11 @@
 """Tree navigation: path codes, parent/child steps, families, closed-form locations."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pptalgebra import (
@@ -38,6 +39,7 @@ from pptalgebra import (
     triple_from_primary,
     walk,
 )
+from pptalgebra import tree
 from pptalgebra.generators import KeySequence, triple_from_key
 
 
@@ -95,6 +97,80 @@ def naive_apply(f: Fraction, letters: str) -> Fraction:
     for letter in letters:
         f = naive_step(f, letter)
     return f
+
+
+def locate_by_runs(f: Fraction) -> PathCode:
+    """One full-size regression pass per maximal run, B one letter at a time; the oracle for locate()."""
+    q, p = f.numerator, f.denominator
+    reversed_runs = []
+    while not (q == 1 and p == 2):
+        if q == 1 and p == 3:
+            raise NotInPrimaryTree("regresses to 1/3")
+        d = p - 2 * q
+        if d > q:
+            count = (p - q - 1) // (2 * q)
+            reversed_runs.append(("A", count))
+            p -= 2 * count * q
+        elif d > 0:
+            reversed_runs.append(("B", 1))
+            q, p = d, q
+        else:
+            delta = p - q
+            count = (q - 1) // delta
+            reversed_runs.append(("C", count))
+            q, p = q - count * delta, p - count * delta
+    return PathCode(tuple(reversed(reversed_runs)))
+
+
+def b_run(q: int, p: int, count: int) -> tuple[int, int]:
+    """(q, p) -> (p, q + 2p) iterated `count` times, by squaring the step matrix."""
+    xa, xb, xc, xd = 1, 0, 0, 1
+    ya, yb, yc, yd = 0, 1, 1, 2
+    while count:
+        if count & 1:
+            xa, xb, xc, xd = xa * ya + xb * yc, xa * yb + xb * yd, xc * ya + xd * yc, xc * yb + xd * yd
+        ya, yb, yc, yd = ya * ya + yb * yc, ya * yb + yb * yd, yc * ya + yd * yc, yc * yb + yd * yd
+        count >>= 1
+    return xa * q + xb * p, xc * q + xd * p
+
+
+def apply_by_runs(f: Fraction, code: PathCode) -> Fraction:
+    """One full-size pass per run, A and C runs in closed form; the oracle for apply_path()."""
+    q, p = f.numerator, f.denominator
+    for letter, count in code.runs:
+        if letter == "A":
+            p += 2 * count * q
+        elif letter == "C":
+            delta = p - q
+            q, p = q + count * delta, p + count * delta
+        else:
+            q, p = b_run(q, p, count)
+    return Fraction(q, p)
+
+
+def drawn_code(seed: int, shape: str, bits: int) -> PathCode:
+    """A seeded code whose generator has about `bits` bits.
+
+    `mixed`: runs of one to four letters, any letter.  `bheavy`: B runs of 200
+    to 2000 letters split by single A or C steps.  `astro`: A and C runs of
+    10^6 to 10^30 letters with an occasional single B.
+    """
+    rng = random.Random(seed)
+    runs, size, prev = [], 2.0, ""
+    while size < bits:
+        if shape == "mixed":
+            letter, count = rng.choice([c for c in "ABC" if c != prev]), rng.randint(1, 4)
+        elif shape == "bheavy":
+            letter, count = ("B", rng.randint(200, 2000)) if prev != "B" else (rng.choice("AC"), 1)
+        elif prev in ("A", "C") and rng.random() < 0.2:
+            letter, count = "B", 1
+        else:
+            letter, count = rng.choice([c for c in "AC" if c != prev]), int(10 ** rng.uniform(6, 30))
+        runs.append((letter, count))
+        # A B adds about log2(1 + sqrt 2) bits a letter; an A or C run about log2 of its length.
+        size += 1.2716 * count if letter == "B" else math.log2(2 * count + 1)
+        prev = letter
+    return PathCode(tuple(runs))
 
 
 def complete_key(q2: int, q1: int) -> KeySequence:
@@ -296,6 +372,101 @@ def test_locate_is_fast_on_astronomical_runs():
     code = locate(f)
     assert code == PathCode((("C", k - 1),))
     assert apply_path(ROOT_GENERATOR, code) == f
+
+
+# -------------------------------------------------------- chunked regression
+
+
+@pytest.fixture
+def chunks(monkeypatch):
+    """Spy on locate's chunks: one (runs taken, accepted) entry per attempt."""
+    seen = []
+    real = tree._top_chunk
+
+    def spy(q, p):
+        assert 0 < q < p, "locate went on from a pair outside the domain"
+        runs, q_up, p_up = real(q, p)
+        accepted = bool(runs) and 0 < q_up < p_up
+        assert p_up < p or not accepted, "an accepted chunk took the pair no higher"
+        seen.append((len(runs), accepted))
+        return runs, q_up, p_up
+
+    monkeypatch.setattr(tree, "_top_chunk", spy)
+    return seen
+
+
+def assert_navigation_matches_oracles(code: PathCode) -> None:
+    f = apply_path(ROOT_GENERATOR, code)
+    assert f == apply_by_runs(ROOT_GENERATOR, code)
+    assert locate(f) == locate_by_runs(f) == code
+
+
+@settings(max_examples=5)
+@given(st.integers(0, 2**32), st.integers(1000, 20_000))
+def test_mixed_codes_match_oracles(seed, bits):
+    assert_navigation_matches_oracles(drawn_code(seed, "mixed", bits))
+
+
+@settings(max_examples=5)
+@given(st.integers(0, 2**32), st.integers(1000, 30_000))
+def test_b_heavy_codes_match_oracles(seed, bits):
+    assert_navigation_matches_oracles(drawn_code(seed, "bheavy", bits))
+
+
+@settings(max_examples=5)
+@given(st.integers(0, 2**32), st.integers(1000, 130_000))
+def test_astronomical_codes_match_oracles(seed, bits):
+    assert_navigation_matches_oracles(drawn_code(seed, "astro", bits))
+
+
+def test_long_b_heavy_code_regresses_in_accepted_chunks(chunks):
+    code = drawn_code(2024, "bheavy", 130_000)
+    assert sum(count for letter, count in code.runs if letter == "B") >= 10**5
+    assert_navigation_matches_oracles(code)
+    # Every chunk that took runs was the true top of the path, and each took off
+    # hundreds of bits: far fewer chunks than the code's 10^5 letters.
+    assert chunks and all(accepted for taken, accepted in chunks if taken)
+    assert len(chunks) < 500
+
+
+def test_generators_straddling_a_letter_boundary(chunks):
+    # A huge run sends the pair within 2^-far of 0 or 1, and one more letter puts
+    # it next to 1/3 (A or B after C^k) or 1/2 (B or C after A^k).  Past the
+    # chunk's top bits the truncated pair cannot tell the sides apart.
+    rejected = 0
+    for far in (tree._TOP_BITS + 8, tree._TOP_BITS + 76, tree._TOP_BITS + 576):
+        for run, letter in (("C", "A"), ("C", "B"), ("A", "B"), ("A", "C")):
+            chunks.clear()
+            code = drawn_code(far, "mixed", 8000) + PathCode(((run, 2**far), (letter, 1)))
+            f = apply_path(ROOT_GENERATOR, code)
+            boundary = Fraction(1, 3) if run == "C" else Fraction(1, 2)
+            assert abs(f - boundary) < Fraction(1, 2 ** (far - 4))
+            assert_navigation_matches_oracles(code)
+            assert not all(accepted for _, accepted in chunks)
+            rejected += sum(1 for taken, accepted in chunks if taken and not accepted)
+    # Some truncated guesses took a wrong letter; only the in-domain test caught them.
+    assert rejected > 0
+
+
+def test_zero_count_run_in_the_top_bits(chunks):
+    # q/p = 1/2 + 2^-1100 or so: the small pair has p = 2q exactly, a C run of length 0.
+    code = drawn_code(7, "mixed", 8000) + PathCode((("A", 2**1100), ("C", 1)))
+    f = apply_path(ROOT_GENERATOR, code)
+    shift = f.denominator.bit_length() - tree._TOP_BITS
+    assert f.denominator >> shift == 2 * (f.numerator >> shift)
+    assert_navigation_matches_oracles(code)
+    assert chunks[0] == (0, False)
+
+
+def test_large_secondary_tree_generator_is_not_in_primary_tree(chunks):
+    # Hung below 1/3, the generator regresses to 1/3 however large it is.
+    code = drawn_code(11, "mixed", 20_000)
+    f = apply_path(Fraction(1, 3), code)
+    with pytest.raises(NotInPrimaryTree):
+        locate_by_runs(f)
+    with pytest.raises(NotInPrimaryTree, match="^a [0-9]+-bit generator regresses to 1/3"):
+        locate(f)  # too long to print in full under the default int-to-str limit
+    assert any(accepted for _, accepted in chunks)
 
 
 # ----------------------------------------------------------------- children
