@@ -42,7 +42,6 @@ from .tree import (
     derive_generator,
     enumerate_level,
     family_generator,
-    family_member,
     locate,
     parent,
 )
@@ -250,7 +249,7 @@ def _cmd_squares(args: argparse.Namespace) -> tuple[dict, list[str]]:
 def _cmd_family(args: argparse.Namespace) -> tuple[dict, list[str]]:
     fam = Family(FamilyLine(args.line), args.index)
     gen = family_generator(fam)
-    member = family_member(fam)
+    member = triple_from_primary(gen)
     payload = {
         "family": fam.line.value,
         "index": str(fam.index),

@@ -33,9 +33,17 @@ def proper_fraction(numerator: int, denominator: int) -> Fraction:
     return Fraction(numerator, denominator)
 
 
+def _shown(f: Fraction, noun: str) -> str:
+    # f for an error message: in full, or by size past the interpreter's int-to-str digit limit.
+    try:
+        return str(f)
+    except ValueError:
+        return f"a {max(abs(f.numerator), f.denominator).bit_length()}-bit {noun}"
+
+
 def require_proper(f: Fraction) -> Fraction:
     if not 0 < f < 1:
-        raise ValueError(f"expected a proper fraction, got {f}")
+        raise ValueError(f"expected a proper fraction, got {_shown(f, 'fraction')}")
     return f
 
 
@@ -156,7 +164,7 @@ def triple_from_primary(f: Fraction) -> PPT:
     require_proper(f)
     q, p = f.numerator, f.denominator
     if (q + p) % 2 == 0:
-        raise WrongParity(f"{f} has even numerator+denominator sum; it is a secondary generator")
+        raise WrongParity(f"{_shown(f, 'fraction')} has even numerator+denominator sum; it is a secondary generator")
     return _primary_triple(q, p)
 
 
@@ -174,7 +182,7 @@ def triple_from_secondary(f: Fraction) -> PPT:
     require_proper(f)
     q, p = f.numerator, f.denominator
     if (q + p) % 2 == 1:
-        raise WrongParity(f"{f} has odd numerator+denominator sum; it is a primary generator")
+        raise WrongParity(f"{_shown(f, 'fraction')} has odd numerator+denominator sum; it is a primary generator")
     return PPT(p * q, (p * p - q * q) // 2, (p * p + q * q) // 2)
 
 

@@ -8,8 +8,8 @@ from enum import Enum
 from fractions import Fraction
 from numbers import Rational
 
-from .triple_core import PPT, TClass, _proven_ppt, classify, make_ppt
-from .generators import _generator_pair
+from .triple_core import PPT, TClass, _proven_ppt, classify
+from .generators import _generator_pair, _primary_triple, generators_of
 
 __all__ = [
     "AntiDerivative", "DerivativeKind", "IntegerSquareScale", "QuadraticSurd",
@@ -38,6 +38,11 @@ class SquarePair:
     s: Fraction
 
 
+# Most candidates QuadraticSurd tries for the common factor of u, v and d, so
+# that its time is not linear in their gcd.
+_SURD_SCAN_CAP = 100_000
+
+
 @dataclass(frozen=True)
 class QuadraticSurd:
     """Exact value (u + sign*sqrt(d))/v with integer u, d and positive v.
@@ -45,6 +50,8 @@ class QuadraticSurd:
     Normalized at construction: a perfect-square radicand collapses to a plain
     rational (d = 0, sign = +1, u/v reduced), and a common factor g with
     g | u, g | v, g^2 | d is divided out.  The radicand may be negative.
+    The search for g tries a capped number of candidates and raises
+    ValueError when it would need more.
     """
 
     u: int
@@ -68,12 +75,17 @@ class QuadraticSurd:
             g = math.gcd(u, v)
         else:
             g = 1
-            # g divides u, v and d, and g^2 <= |d|; the scan stays linear in gcd(u, v, d).
+            # g divides u, v and d, and g^2 <= |d|.
             top = min(math.gcd(u, v, d), root)
-            for cand in range(top, 1, -1):
+            for cand in range(top, max(top - _SURD_SCAN_CAP, 1), -1):
                 if u % cand == 0 and v % cand == 0 and d % (cand * cand) == 0:
                     g = cand
                     break
+            else:
+                if top - 1 > _SURD_SCAN_CAP:
+                    raise ValueError(
+                        f"the common-factor scan would try more than its cap of {_SURD_SCAN_CAP} candidates"
+                    )
         object.__setattr__(self, "u", u // g)
         object.__setattr__(self, "d", d // (g * g))
         object.__setattr__(self, "v", v // g)
@@ -161,18 +173,24 @@ def trivial_reciprocal_solution(t: PPT) -> tuple[int, int, int]:
 
 def major_derivative(t: PPT) -> PPT:
     """The triple (c(a+b), ab, c^2 + ab), canonically oriented."""
-    a, b, c = t.sides()
-    return make_ppt(c * (a + b), a * b, c * c + a * b)
+    return derivative(t, DerivativeKind.MAJOR)
 
 
 def minor_derivative(t: PPT) -> PPT:
     """The triple (c|a-b|, ab, c^2 - ab), canonically oriented."""
-    a, b, c = t.sides()
-    return make_ppt(c * abs(a - b), a * b, c * c - a * b)
+    return derivative(t, DerivativeKind.MINOR)
 
 
 def derivative(t: PPT, kind: DerivativeKind) -> PPT:
-    return major_derivative(t) if kind is DerivativeKind.MAJOR else minor_derivative(t)
+    # With q/p the primary generator of t, the derivative's generator Q/P is
+    # q(p-q)/(p(p+q)) (major) or p(p-q), q(p+q) smaller first (minor): 2PQ = ab and
+    # P^2 + Q^2 = c^2 +- ab.  p +- q is odd and prime to p and q, so Q and P are
+    # coprime and of opposite parity, and _primary_triple need not check them.
+    q, p = _generator_pair(t)
+    if kind is DerivativeKind.MAJOR:
+        return _primary_triple(q * (p - q), p * (p + q))
+    x, y = p * (p - q), q * (p + q)
+    return _primary_triple(min(x, y), max(x, y))
 
 
 def corollary_generators(t: PPT, kind: DerivativeKind) -> tuple[Fraction, Fraction]:
@@ -182,11 +200,7 @@ def corollary_generators(t: PPT, kind: DerivativeKind) -> tuple[Fraction, Fracti
     T' = (b-a)/c, evaluated with the legs ordered smaller-first so both
     fractions come out proper.
     """
-    a, b, c = t.sides()
-    if kind is DerivativeKind.MAJOR:
-        return Fraction(a * b, (c + a) * (c + b)), Fraction(c, a + b)
-    lo, hi = min(a, b), max(a, b)
-    return Fraction(lo * hi, (c - lo) * (c + hi)), Fraction(hi - lo, c)
+    return generators_of(derivative(t, kind))
 
 
 def _proven_surd(u: int, d: int, v: int, sign: int) -> QuadraticSurd:

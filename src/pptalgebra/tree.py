@@ -20,7 +20,7 @@ from .triple_core import PPT, TripleError
 from .generators import (
     _generator_pair,
     _primary_triple,
-    format_fraction,
+    _shown,
     require_proper,
     triple_from_primary,
 )
@@ -234,11 +234,7 @@ def locate(f: Fraction) -> PathCode:
     reversed_runs: list[tuple[str, int]] = []
     while not (q == 1 and p == 2):
         if q == 1 and p == 3:
-            try:
-                shown = format_fraction(f)
-            except ValueError:  # past the interpreter's int-to-str digit limit
-                shown = f"a {f.denominator.bit_length()}-bit generator"
-            raise NotInPrimaryTree(f"{shown} regresses to 1/3; it generates no triple")
+            raise NotInPrimaryTree(f"{_shown(f, 'generator')} regresses to 1/3; it generates no triple")
         if p.bit_length() > _CHUNK_FROM_BITS:
             runs, q_up, p_up = _top_chunk(q, p)
             if runs and 0 < q_up < p_up:

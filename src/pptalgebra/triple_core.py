@@ -116,13 +116,8 @@ def make_ppt(x: int, y: int, z: int) -> PPT:
 
 def classify(t: PPT) -> TClass:
     """Assign the divisibility class: row by which side 5 divides, column by 3."""
-    if t.c % 5 == 0:
-        row = (TClass.T1, TClass.T2)
-    elif t.a % 5 == 0:
-        row = (TClass.T3, TClass.T4)
-    else:
-        row = (TClass.T5, TClass.T6)
-    return row[0] if t.a % 3 == 0 else row[1]
+    w = divisibility_witness(t)
+    return list(TClass)[2 * "cab".index(w.five_divides) + "ab".index(w.three_divides)]
 
 
 def divisibility_witness(t: PPT) -> DivisibilityWitness:

@@ -115,10 +115,15 @@ def test_key_completion_goldens():
 
 
 def test_wrong_parity_is_refused():
-    with pytest.raises(WrongParity):
+    with pytest.raises(WrongParity, match="^1/3 has even numerator"):
         triple_from_primary(Fraction(1, 3))
-    with pytest.raises(WrongParity):
+    with pytest.raises(WrongParity, match="^1/2 has odd numerator"):
         triple_from_secondary(Fraction(1, 2))
+    # Too long to print under the default int-to-str limit: named by size, still WrongParity.
+    with pytest.raises(WrongParity, match="^a 16610-bit fraction has even numerator"):
+        triple_from_primary(Fraction(10**5000 - 1, 10**5000 + 1))
+    with pytest.raises(WrongParity, match="^a 16610-bit fraction has odd numerator"):
+        triple_from_secondary(Fraction(10**5000 - 1, 10**5000))
 
 
 def test_primary_and_secondary_generate_the_same_triple(corpus):
@@ -170,5 +175,5 @@ def test_proper_fraction_guards():
         proper_fraction(3, 3)
     with pytest.raises(ValueError):
         proper_fraction(-1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected a proper fraction, got 5/3$"):
         require_proper(Fraction(5, 3))

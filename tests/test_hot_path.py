@@ -11,13 +11,19 @@ from hypothesis import strategies as st
 from pptalgebra import (
     PPT,
     DerivativeKind,
+    Family,
+    FamilyLine,
     QuadraticSurd,
     anti_derivative,
     children,
+    corollary_generators,
+    derivative,
     enumerate_level,
+    family_member,
     generators_of,
     is_derivative,
     iter_by_hypotenuse,
+    make_ppt,
     triple_from_primary,
 )
 from pptalgebra.generators import _generator_pair
@@ -50,6 +56,53 @@ def test_generator_pair_on_big_triples(big_triples):
         assert generators_of(t)[0].as_integer_ratio() == _half_angle(t)
 
 
+def derivative_formula(t: PPT, kind: DerivativeKind) -> PPT:
+    """[c(a+b), ab, c^2 + ab] or [c|a-b|, ab, c^2 - ab], checked by make_ppt; the oracle for derivative()."""
+    a, b, c = t.sides()
+    if kind is DerivativeKind.MAJOR:
+        return make_ppt(c * (a + b), a * b, c * c + a * b)
+    return make_ppt(c * abs(a - b), a * b, c * c - a * b)
+
+
+def corollary_formula(t: PPT, kind: DerivativeKind) -> tuple[Fraction, Fraction]:
+    """The derivative's generators as fractions in a, b, c; the oracle for corollary_generators().
+
+    Major: ab/((c+a)(c+b)) and c/(a+b).  Minor: ab/((c-a)(c+b)) and (b-a)/c,
+    with the legs ordered smaller-first so both come out proper.
+    """
+    a, b, c = t.sides()
+    if kind is DerivativeKind.MAJOR:
+        return Fraction(a * b, (c + a) * (c + b)), Fraction(c, a + b)
+    lo, hi = min(a, b), max(a, b)
+    return Fraction(lo * hi, (c - lo) * (c + hi)), Fraction(hi - lo, c)
+
+
+def _assert_derivatives_match_formulas(t):
+    for kind in DerivativeKind:
+        assert derivative(t, kind) == derivative_formula(t, kind)
+        assert corollary_generators(t, kind) == corollary_formula(t, kind)
+
+
+def test_derivatives_match_formulas_by_hypotenuse():
+    for t in iter_by_hypotenuse(10**5):
+        _assert_derivatives_match_formulas(t)
+
+
+def test_derivatives_match_formulas_on_big_triples(big_triples):
+    members = [
+        family_member(Family(FamilyLine.FERMAT, 2 * 10**4)),
+        family_member(Family(FamilyLine.PLATONIC, 10**12)),
+        family_member(Family(FamilyLine.PYTHAGOREAN, 10**12)),
+    ]
+    for t in big_triples + members:
+        _assert_derivatives_match_formulas(t)
+
+
+@given(primary_pair())
+def test_derivatives_match_formulas_on_drawn_generators(pair):
+    _assert_derivatives_match_formulas(triple_from_primary(Fraction(*pair)))
+
+
 def _assert_same_as_checked(t):
     checked = PPT(*t.sides())
     assert type(t) is PPT
@@ -64,6 +117,7 @@ def test_proven_triples_equal_checked_ones():
     built = enumerate_level(8) + sweep
     for t in sweep:
         built.extend(children(t))
+        built.extend(derivative(t, kind) for kind in DerivativeKind)
     hits = 0
     for t in sweep:
         for kind in DerivativeKind:

@@ -1,6 +1,7 @@
 """Inscribed squares, the reciprocal identity, derivatives and anti-derivatives."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,18 @@ def test_surd_with_a_huge_common_factor_of_u_and_v():
     # gcd(u, v) = 3 * 10^12; a scan down from there would run for about a day.
     surd = QuadraticSurd(21 * 10**12, 9 * 2147483647, 33 * 10**12)
     assert (surd.u, surd.d, surd.v, surd.sign) == (7 * 10**12, 2147483647, 11 * 10**12, 1)
+
+
+def test_surd_factor_scan_is_capped():
+    # gcd(u, v, d) = g ~ 10^12 and g does not divide 10^40 + 7, so only a scan over
+    # every candidate below g would settle on g = 1; the cap refuses it at once.
+    g = 10**12 + 39
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cap of 100000 candidates"):
+        QuadraticSurd(g, g * (10**40 + 7), 2 * g)
+    assert time.perf_counter() - start < 1
+    # A factor found within the cap still divides out.
+    assert QuadraticSurd(g, 5 * g * g, 2 * g) == QuadraticSurd(1, 5, 2)
 
 
 @given(st.integers(-300, 300), st.integers(-3000, 3000), st.integers(1, 300))

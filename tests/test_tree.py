@@ -330,12 +330,22 @@ def test_locate_goldens():
 
 
 def test_locate_rejects_even_sum_fractions():
-    with pytest.raises(NotInPrimaryTree):
+    with pytest.raises(NotInPrimaryTree, match="^1/3 regresses to 1/3; it generates no triple$"):
         locate(Fraction(1, 3))
-    with pytest.raises(NotInPrimaryTree):
+    with pytest.raises(NotInPrimaryTree, match="^3/7 regresses to 1/3"):
         locate(Fraction(3, 7))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected a proper fraction, got 7/3$"):
         locate(Fraction(7, 3))
+
+
+def test_huge_improper_fractions_are_named_by_size():
+    # Under the default int-to-str limit the fraction is too long to print in
+    # full, so the message gives its size instead of the interpreter's own error.
+    f = Fraction(10**5000 + 1, 10**5000)
+    with pytest.raises(ValueError, match="^expected a proper fraction, got a 16610-bit fraction$"):
+        locate(f)
+    with pytest.raises(ValueError, match="^expected a proper fraction, got a 16610-bit fraction$"):
+        apply_path(f, PathCode.parse("A"))
 
 
 @given(primary_fraction())
