@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .triple_core import (
     PPT,
@@ -22,7 +21,6 @@ from .triple_core import (
     make_ppt,
 )
 from .generators import (
-    _generator_pair,
     format_fraction,
     generators_of,
     key_sequence_of,
@@ -148,7 +146,7 @@ def _cmd_locate(args: argparse.Namespace) -> tuple[dict, list[str]]:
     elif len(args.target) == 3:
         t = make_ppt(*(int(side) for side in args.target))
         payload["triple"] = _triple_dict(t)
-        f = Fraction(*_generator_pair(t))
+        f = generators_of(t)[0]
     else:
         raise ValueError("locate takes a fraction q/p or three sides")
     code = locate(f)
@@ -283,7 +281,7 @@ def fermat_demo() -> dict:
     it, and shows it is neither a major nor a minor derivative.
     """
     t = make_ppt(*_FERMAT_SIDES)
-    f = Fraction(*_generator_pair(t))
+    f = generators_of(t)[0]
     steps = []
     cur = f
     while True:

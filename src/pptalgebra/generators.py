@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .triple_core import PPT, TripleError, _proven_ppt
+from .triple_core import PPT, TripleError, _proven_ppt, _shown
 
 __all__ = [
     "KeySequence", "Radii", "WrongParity", "format_fraction", "generators_of",
@@ -27,18 +27,12 @@ class WrongParity(TripleError):
 def proper_fraction(numerator: int, denominator: int) -> Fraction:
     """A fraction strictly between 0 and 1, reduced at construction."""
     if denominator <= 0 or numerator <= 0:
-        raise ValueError(f"need positive numerator and denominator, got {numerator}/{denominator}")
-    if numerator >= denominator:
-        raise ValueError(f"{numerator}/{denominator} is not a proper fraction")
-    return Fraction(numerator, denominator)
-
-
-def _shown(f: Fraction, noun: str) -> str:
-    # f for an error message: in full, or by size past the interpreter's int-to-str digit limit.
-    try:
-        return str(f)
-    except ValueError:
-        return f"a {max(abs(f.numerator), f.denominator).bit_length()}-bit {noun}"
+        problem = "need positive numerator and denominator, got {}"
+    elif numerator >= denominator:
+        problem = "{} is not a proper fraction"
+    else:
+        return Fraction(numerator, denominator)
+    raise ValueError(problem.format(f"{_shown(numerator, 'numerator')}/{_shown(denominator, 'denominator')}"))
 
 
 def require_proper(f: Fraction) -> Fraction:
@@ -74,15 +68,19 @@ class KeySequence:
     p2: int
 
     def __post_init__(self) -> None:
-        for v in (self.q2, self.q1, self.p1, self.p2):
+        entries = (self.q2, self.q1, self.p1, self.p2)
+        for v in entries:
             if not isinstance(v, int) or v <= 0:
-                raise ValueError(f"key sequence entries must be positive integers, got {v!r}")
+                raise ValueError(f"key sequence entries must be positive integers, got {_shown(v, 'integer', repr)}")
         if self.q2 + self.q1 != self.p1 or self.q1 + self.p1 != self.p2:
-            raise ValueError(f"{self} violates the Fibonacci rule")
-        if self.q2 % 2 == 0:
-            raise ValueError(f"first entry of {self} must be odd")
-        if math.gcd(self.q1, self.q2) != 1:
-            raise ValueError(f"first two entries of {self} must be coprime")
+            problem = "{} violates the Fibonacci rule"
+        elif self.q2 % 2 == 0:
+            problem = "first entry of {} must be odd"
+        elif math.gcd(self.q1, self.q2) != 1:
+            problem = "first two entries of {} must be coprime"
+        else:
+            return
+        raise ValueError(problem.format(f"[{','.join(_shown(v, 'integer') for v in entries)}]"))
 
     @property
     def primary(self) -> Fraction:
@@ -118,7 +116,8 @@ class Radii:
 
     def __post_init__(self) -> None:
         if self.r1 + self.r2 + self.r3 != self.r4 or self.r1 * self.r4 != self.r2 * self.r3:
-            raise ValueError(f"({self.r1}, {self.r2}, {self.r3}, {self.r4}) violates the radius identities")
+            shown = ", ".join(_shown(r, "integer") for r in (self.r1, self.r2, self.r3, self.r4))
+            raise ValueError(f"({shown}) violates the radius identities")
 
 
 def _generator_pair(t: PPT) -> tuple[int, int]:
@@ -128,11 +127,13 @@ def _generator_pair(t: PPT) -> tuple[int, int]:
     return t.b // (2 * p), p
 
 
+def _generators(q: int, p: int) -> tuple[Fraction, Fraction]:
+    return Fraction(q, p), Fraction(p - q, p + q)  # a/(c+b) = (p-q)(p+q)/(p+q)^2
+
+
 def generators_of(t: PPT) -> tuple[Fraction, Fraction]:
     """Primary and secondary generators: the half-angle tangents b/(c+a) and a/(c+b)."""
-    q, p = _generator_pair(t)
-    # a/(c+b) = (p-q)(p+q)/(p+q)^2
-    return Fraction(q, p), Fraction(p - q, p + q)
+    return _generators(*_generator_pair(t))
 
 
 def key_sequence_from_fraction(f: Fraction) -> KeySequence:
@@ -156,7 +157,8 @@ def key_sequence_of(t: PPT) -> KeySequence:
 
 def triple_from_key(k: KeySequence) -> PPT:
     """Mixed-form construction: a = p2*q2, b = 2*p1*q1, c = p1*p2 - q1*q2."""
-    return PPT(k.p2 * k.q2, 2 * k.p1 * k.q1, k.p1 * k.p2 - k.q1 * k.q2)
+    # A valid key has q1 < p1 coprime (gcd(q1, p1) = gcd(q1, q2)) and of opposite parity (q2 is odd).
+    return _primary_triple(k.q1, k.p1)
 
 
 def triple_from_primary(f: Fraction) -> PPT:
@@ -183,7 +185,8 @@ def triple_from_secondary(f: Fraction) -> PPT:
     q, p = f.numerator, f.denominator
     if (q + p) % 2 == 1:
         raise WrongParity(f"{_shown(f, 'fraction')} has odd numerator+denominator sum; it is a primary generator")
-    return PPT(p * q, (p * p - q * q) // 2, (p * p + q * q) // 2)
+    # A reduced secondary q/p has both terms odd, so the halves are coprime and sum to the odd p.
+    return _primary_triple((p - q) // 2, (p + q) // 2)
 
 
 def radii(k: KeySequence) -> Radii:

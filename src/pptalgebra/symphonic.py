@@ -9,7 +9,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from .triple_core import PPT, TClass, _proven_ppt, classify
-from .generators import _generator_pair, _primary_triple, generators_of
+from .generators import _generator_pair, _generators, _primary_triple
 
 __all__ = [
     "AntiDerivative", "DerivativeKind", "IntegerSquareScale", "QuadraticSurd",
@@ -181,16 +181,20 @@ def minor_derivative(t: PPT) -> PPT:
     return derivative(t, DerivativeKind.MINOR)
 
 
-def derivative(t: PPT, kind: DerivativeKind) -> PPT:
-    # With q/p the primary generator of t, the derivative's generator Q/P is
+def _derivative_pair(q: int, p: int, kind: DerivativeKind) -> tuple[int, int]:
+    # With q/p the primary generator of (a, b, c), its derivative's generator Q/P is
     # q(p-q)/(p(p+q)) (major) or p(p-q), q(p+q) smaller first (minor): 2PQ = ab and
     # P^2 + Q^2 = c^2 +- ab.  p +- q is odd and prime to p and q, so Q and P are
     # coprime and of opposite parity, and _primary_triple need not check them.
-    q, p = _generator_pair(t)
     if kind is DerivativeKind.MAJOR:
-        return _primary_triple(q * (p - q), p * (p + q))
+        return q * (p - q), p * (p + q)
     x, y = p * (p - q), q * (p + q)
-    return _primary_triple(min(x, y), max(x, y))
+    return min(x, y), max(x, y)
+
+
+def derivative(t: PPT, kind: DerivativeKind) -> PPT:
+    """S(t) = (c(a+b), ab, c^2 + ab) for MAJOR or S'(t) = (c|a-b|, ab, c^2 - ab) for MINOR, canonically oriented."""
+    return _primary_triple(*_derivative_pair(*_generator_pair(t), kind))
 
 
 def corollary_generators(t: PPT, kind: DerivativeKind) -> tuple[Fraction, Fraction]:
@@ -200,7 +204,7 @@ def corollary_generators(t: PPT, kind: DerivativeKind) -> tuple[Fraction, Fracti
     T' = (b-a)/c, evaluated with the legs ordered smaller-first so both
     fractions come out proper.
     """
-    return generators_of(derivative(t, kind))
+    return _generators(*_derivative_pair(*_generator_pair(t), kind))
 
 
 def _proven_surd(u: int, d: int, v: int, sign: int) -> QuadraticSurd:

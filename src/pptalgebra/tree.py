@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .triple_core import PPT, TripleError
+from .triple_core import PPT, TripleError, _shown
 from .generators import (
     _generator_pair,
     _primary_triple,
-    _shown,
     require_proper,
     triple_from_primary,
 )
@@ -82,11 +81,11 @@ class PathCode:
         merged: list[tuple[str, int]] = []
         for letter, count in self.runs:
             if letter not in ("A", "B", "C"):
-                raise ValueError(f"path letter must be A, B or C, got {letter!r}")
+                raise ValueError(f"path letter must be A, B or C, got {_shown(letter, 'integer', repr)}")
             if not isinstance(count, int):
                 raise ValueError(f"run length must be an integer, got {count!r} for {letter}")
             if count < 0:
-                raise ValueError(f"negative run length {count} for {letter}")
+                raise ValueError(f"negative run length {_shown(count, 'integer')} for {letter}")
             if count == 0:
                 continue
             if merged and merged[-1][0] == letter:
@@ -124,19 +123,17 @@ class PathCode:
 
     def __mul__(self, times: int) -> "PathCode":
         if times < 0:
-            raise ValueError(f"cannot repeat a path code {times} times")
+            raise ValueError(f"cannot repeat a path code {_shown(times, 'integer')} times")
         return PathCode(self.runs * times)
 
     def letters(self) -> str:
         """The fully expanded word; refuses codes too long to materialize."""
         if self.length > _MAX_EXPANDED_LETTERS:
-            raise ValueError(f"path code of length {self.length} is too long to expand")
+            raise ValueError(f"path code of length {_shown(self.length, 'integer')} is too long to expand")
         return "".join(letter * count for letter, count in self.runs)
 
     def compact(self) -> str:
         """Run-length rendering, e.g. 'B C^3 B A^9'; parse() accepts it back."""
-        if not self.runs:
-            return ""
         return " ".join(
             letter if count == 1 else f"{letter}^{count}" for letter, count in self.runs
         )
@@ -325,7 +322,7 @@ def children(t: PPT) -> tuple[PPT, PPT, PPT]:
 def enumerate_level(n: int) -> list[PPT]:
     """All 3^n triples of tree level n, in left-to-right order."""
     if n < 0:
-        raise ValueError(f"tree level must be nonnegative, got {n}")
+        raise ValueError(f"tree level must be nonnegative, got {_shown(n, 'integer')}")
     for pairs in _levels(n):
         pass
     return [_primary_triple(q, p) for q, p in pairs]
@@ -334,7 +331,7 @@ def enumerate_level(n: int) -> list[PPT]:
 def walk(max_depth: int) -> Iterator[PPT]:
     """Breadth-first triples, level by level, through depth max_depth."""
     if max_depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {max_depth}")
+        raise ValueError(f"depth must be nonnegative, got {_shown(max_depth, 'integer')}")
     for pairs in _levels(max_depth):
         for q, p in pairs:
             yield _primary_triple(q, p)
@@ -381,7 +378,7 @@ def pell(n: int) -> PellPair:
     A run of n B steps takes (0, 1) to (p(n), p(n+1)), and q(n) = p(n+1) - p(n).
     """
     if n < 1:
-        raise ValueError(f"Pell index must be positive, got {n}")
+        raise ValueError(f"Pell index must be positive, got {_shown(n, 'integer')}")
     _, p, _, p_next = _b_power(n)
     return PellPair(n, p, p_next - p)
 
@@ -413,7 +410,7 @@ class Family:
 
     def __post_init__(self) -> None:
         if self.index < 1:
-            raise ValueError(f"family index must be positive, got {self.index}")
+            raise ValueError(f"family index must be positive, got {_shown(self.index, 'integer')}")
 
     @property
     def path_code(self) -> PathCode:

@@ -30,6 +30,15 @@ class InvalidParity(TripleError):
     """The legs are not one odd, one even."""
 
 
+def _shown(x: object, noun: str, form=str) -> str:
+    # form(x) for an error message, or x by size past the interpreter's int-to-str digit
+    # limit; x is then an int or a Fraction.
+    try:
+        return form(x)
+    except ValueError:
+        return f"a {max(abs(x.numerator), x.denominator).bit_length()}-bit {noun}"
+
+
 class TClass(Enum):
     """Divisibility class of a primitive triple.
 
@@ -65,13 +74,16 @@ class PPT:
     def __post_init__(self) -> None:
         for side in (self.a, self.b, self.c):
             if not isinstance(side, int) or side <= 0:
-                raise TripleError(f"sides must be positive integers, got {side!r}")
+                raise TripleError(f"sides must be positive integers, got {_shown(side, 'integer', repr)}")
         if self.a * self.a + self.b * self.b != self.c * self.c:
-            raise NotATriple(f"{self.a}^2 + {self.b}^2 != {self.c}^2")
+            a, b, c = (_shown(side, "integer") for side in self.sides())
+            raise NotATriple(f"{a}^2 + {b}^2 != {c}^2")
         if math.gcd(self.a, self.b) != 1:
-            raise NotPrimitive(f"legs {self.a}, {self.b} share a common factor")
+            a, b, _ = (_shown(side, "integer") for side in self.sides())
+            raise NotPrimitive(f"legs {a}, {b} share a common factor")
         if self.a % 2 == 0 or self.b % 2 == 1:
-            raise InvalidParity(f"expected odd leg, even leg; got ({self.a}, {self.b})")
+            a, b, _ = (_shown(side, "integer") for side in self.sides())
+            raise InvalidParity(f"expected odd leg, even leg; got ({a}, {b})")
 
     def sides(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
@@ -108,7 +120,7 @@ def make_ppt(x: int, y: int, z: int) -> PPT:
     """
     for side in (x, y, z):
         if not isinstance(side, int) or side <= 0:
-            raise TripleError(f"sides must be positive integers, got {side!r}")
+            raise TripleError(f"sides must be positive integers, got {_shown(side, 'integer', repr)}")
     s, m, c = sorted((x, y, z))
     a, b = (m, s) if s % 2 == 0 and m % 2 else (s, m)
     return PPT(a, b, c)

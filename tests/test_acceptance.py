@@ -249,6 +249,7 @@ def test_acceptance_5_structure(corpus, small_corpus):
 
     assert parent(Fraction(1, 2)) is ROOT
     assert isinstance(ROOT, Root)
+    assert repr(ROOT) == "Root"
 
     # Generator-level and triple-level derivatives commute.
     for t in small_corpus:

@@ -126,6 +126,13 @@ def test_wrong_parity_is_refused():
         triple_from_secondary(Fraction(10**5000 - 1, 10**5000))
 
 
+def test_huge_entries_in_errors_are_named_by_size():
+    with pytest.raises(ValueError, match=r"^\[a 16610-bit integer,1,2,3\] violates the Fibonacci rule$"):
+        KeySequence(10**5000 + 1, 1, 2, 3)
+    with pytest.raises(ValueError, match="^a 16610-bit numerator/3 is not a proper fraction$"):
+        proper_fraction(10**5000, 3)
+
+
 def test_primary_and_secondary_generate_the_same_triple(corpus):
     for t in corpus[:2000]:
         t1, t2 = generators_of(t)

@@ -23,8 +23,11 @@ from pptalgebra import (
     generators_of,
     is_derivative,
     iter_by_hypotenuse,
+    key_sequence_of,
     make_ppt,
+    triple_from_key,
     triple_from_primary,
+    triple_from_secondary,
 )
 from pptalgebra.generators import _generator_pair
 
@@ -101,6 +104,39 @@ def test_derivatives_match_formulas_on_big_triples(big_triples):
 @given(primary_pair())
 def test_derivatives_match_formulas_on_drawn_generators(pair):
     _assert_derivatives_match_formulas(triple_from_primary(Fraction(*pair)))
+
+
+def key_formula(t: PPT) -> PPT:
+    """The mixed form of t's key sequence, checked by PPT; the oracle for triple_from_key()."""
+    k = key_sequence_of(t)
+    return PPT(k.p2 * k.q2, 2 * k.p1 * k.q1, k.p1 * k.p2 - k.q1 * k.q2)
+
+
+def secondary_formula(t: PPT) -> PPT:
+    """[pq, (p^2 - q^2)/2, (p^2 + q^2)/2] from t's secondary q/p, checked by PPT; the
+    oracle for triple_from_secondary()."""
+    q, p = generators_of(t)[1].as_integer_ratio()
+    return PPT(p * q, (p * p - q * q) // 2, (p * p + q * q) // 2)
+
+
+def _assert_key_and_secondary_triples_match_formulas(t):
+    for built, expected in (
+        (triple_from_key(key_sequence_of(t)), key_formula(t)),
+        (triple_from_secondary(generators_of(t)[1]), secondary_formula(t)),
+    ):
+        assert type(built) is PPT
+        assert built == expected == t
+        assert hash(built) == hash(expected)
+
+
+def test_key_and_secondary_triples_match_formulas_by_hypotenuse():
+    for t in iter_by_hypotenuse(10**5):
+        _assert_key_and_secondary_triples_match_formulas(t)
+
+
+def test_key_and_secondary_triples_match_formulas_on_big_triples(big_triples):
+    for t in big_triples:
+        _assert_key_and_secondary_triples_match_formulas(t)
 
 
 def _assert_same_as_checked(t):

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pptalgebra import (
+    PPT,
     ROOT,
     ROOT_GENERATOR,
     DegenerateIndex,
@@ -40,7 +41,7 @@ from pptalgebra import (
     walk,
 )
 from pptalgebra import tree
-from pptalgebra.generators import KeySequence, triple_from_key
+from pptalgebra.generators import KeySequence
 
 
 @st.composite
@@ -187,6 +188,11 @@ def key_children(key: KeySequence) -> tuple[KeySequence, KeySequence, KeySequenc
 
 
 ROOT_KEY = KeySequence(1, 1, 2, 3)
+
+
+def mixed_form(key: KeySequence) -> PPT:
+    """[p2*q2, 2*p1*q1, p1*p2 - q1*q2], checked by PPT; the oracle's triple for a key."""
+    return PPT(key.p2 * key.q2, 2 * key.p1 * key.q1, key.p1 * key.p2 - key.q1 * key.q2)
 
 
 def pell_loop(count: int):
@@ -346,6 +352,18 @@ def test_huge_improper_fractions_are_named_by_size():
         locate(f)
     with pytest.raises(ValueError, match="^expected a proper fraction, got a 16610-bit fraction$"):
         apply_path(f, PathCode.parse("A"))
+
+
+def test_huge_negative_counts_are_named_by_size():
+    # As above, for integers: each guard keeps its own message instead of the
+    # interpreter's "Exceeds the limit" error.
+    huge = -(10**5000)
+    with pytest.raises(ValueError, match="^negative run length a 16610-bit integer for A$"):
+        PathCode((("A", huge),))
+    with pytest.raises(ValueError, match="^family index must be positive, got a 16610-bit integer$"):
+        Family(FamilyLine.FERMAT, huge)
+    with pytest.raises(ValueError, match="^Pell index must be positive, got a 16610-bit integer$"):
+        pell(huge)
 
 
 @given(primary_fraction())
@@ -528,6 +546,8 @@ def test_levels():
     assert [t.sides() for t in enumerate_level(2)] == LEVEL_TWO
     with pytest.raises(ValueError):
         enumerate_level(-1)
+    with pytest.raises(ValueError, match="^depth must be nonnegative, got -1$"):
+        next(walk(-1))
 
 
 def test_levels_match_fraction_stepping():
@@ -570,7 +590,7 @@ def test_enumeration_order_matches_key_sequence_stepping():
     breadth_first = []
     keys = [ROOT_KEY]
     for _ in range(8):
-        breadth_first += [triple_from_key(key) for key in keys]
+        breadth_first += [mixed_form(key) for key in keys]
         keys = [child for key in keys for child in key_children(key)]
     assert list(walk(7)) == breadth_first
 
@@ -578,8 +598,8 @@ def test_enumeration_order_matches_key_sequence_stepping():
     stack = [ROOT_KEY]
     while stack:
         key = stack.pop()
-        depth_first.append(triple_from_key(key))
-        stack += [child for child in key_children(key) if triple_from_key(child).c <= 10**5]
+        depth_first.append(mixed_form(key))
+        stack += [child for child in key_children(key) if mixed_form(child).c <= 10**5]
     assert list(iter_by_hypotenuse(10**5)) == depth_first
 
 

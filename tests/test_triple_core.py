@@ -59,6 +59,21 @@ def test_rejects_nonpositive_and_nonint():
             make_ppt(*bad)
     with pytest.raises(TripleError):
         make_ppt(3.0, 4, 5)  # type: ignore[arg-type]
+    with pytest.raises(TripleError, match="^sides must be positive integers, got 0$"):
+        PPT(0, 4, 5)
+    with pytest.raises(TripleError, match=r"^sides must be positive integers, got 3\.0$"):
+        PPT(3.0, 4, 5)  # type: ignore[arg-type]
+
+
+def test_huge_sides_in_errors_are_named_by_size():
+    # Past the default int-to-str limit the sides cannot be printed; the error
+    # keeps its class and gives their size.
+    with pytest.raises(NotATriple, match=r"^a 16610-bit integer\^2 \+ 2\^2 != 3\^2$"):
+        PPT(10**5000 + 1, 2, 3)
+    with pytest.raises(NotATriple, match=r"^5\^2 \+ 4\^2 != a 16610-bit integer\^2$"):
+        make_ppt(10**5000, 4, 5)
+    with pytest.raises(TripleError, match="^sides must be positive integers, got a 16610-bit integer$"):
+        make_ppt(-(10**5000), 4, 5)
 
 
 def test_direct_constructor_enforces_orientation():
