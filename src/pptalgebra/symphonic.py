@@ -8,7 +8,7 @@ from enum import Enum
 from fractions import Fraction
 from numbers import Rational
 
-from .triple_core import PPT, TClass, _proven_ppt, classify
+from .triple_core import PPT, TClass, _proven_ppt, _shown, classify
 from .generators import _generator_pair, _generators, _primary_triple
 
 __all__ = [
@@ -62,7 +62,7 @@ class QuadraticSurd:
     def __post_init__(self) -> None:
         u, d, v, sign = self.u, self.d, self.v, self.sign
         if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign}")
+            raise ValueError(f"sign must be +1 or -1, got {_shown(sign, 'integer')}")
         if v == 0:
             raise ValueError("zero denominator")
         if v < 0:
@@ -97,7 +97,7 @@ class QuadraticSurd:
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
+            raise ValueError(f"{_shown(self, 'surd', parts=(self.u, self.d, self.v))} is irrational")
         return Fraction(self.u, self.v)
 
     def __str__(self) -> str:
@@ -218,10 +218,21 @@ def _proven_surd(u: int, d: int, v: int, sign: int) -> QuadraticSurd:
     return s
 
 
-def _preimage(t: PPT, kind: DerivativeKind) -> tuple[int, int, int, int, PPT | None]:
-    # (u, disc, m, hyp, integral): the roots (u +- sqrt(disc))/2 are the preimage legs up
-    # to sign, and m = isqrt(max(disc, 0)).  With Q/P the primary generator,
-    # t = (P^2 - Q^2, 2PQ, P^2 + Q^2) and P +- Q are odd.
+def _discriminant(t: PPT, kind: DerivativeKind) -> tuple[int, int | None]:
+    # (disc, m): the preimage legs are (u +- sqrt(disc))/2 up to sign, and m = isqrt(disc)
+    # when disc is a square, else None.  With Q/P the primary generator,
+    # t = (P^2 - Q^2, 2PQ, P^2 + Q^2), u = P +- Q and disc = u^2 -+ 8PQ.  Since
+    # (P +- Q)^2 = c +- b and 8PQ = 4b, disc = c -+ 3b, read off the sides with no pair.
+    # c is odd and b even, so disc is odd: never 0, and so never 0^2.
+    disc = t.c - 3 * t.b if kind is DerivativeKind.MAJOR else t.c + 3 * t.b
+    m = math.isqrt(disc) if disc > 0 else 0
+    return disc, m if m * m == disc else None
+
+
+def _preimage(t: PPT, kind: DerivativeKind, m: int | None) -> tuple[int, int, PPT | None]:
+    # (u, hyp, integral) for the root m that _discriminant gives, which reads disc off the
+    # sides; is_derivative reads the pair here only when disc is a square.  With Q/P the
+    # primary generator, t = (P^2 - Q^2, 2PQ, P^2 + Q^2) and u = P +- Q is odd.
     # A square disc gives legs x, y with x + y = P + Q (major) or x - y = P - Q (minor)
     # and xy = 2PQ, so both are positive and x^2 + y^2 = hyp^2 with hyp = P -+ Q.  A prime
     # dividing both legs divides P + Q and P - Q, hence P and Q, so the legs are coprime.
@@ -230,12 +241,10 @@ def _preimage(t: PPT, kind: DerivativeKind) -> tuple[int, int, int, int, PPT | N
     q, p = _generator_pair(t)
     sign = 1 if kind is DerivativeKind.MAJOR else -1
     u, hyp = p + sign * q, p - sign * q
-    disc = u * u - sign * 8 * p * q
-    m = math.isqrt(max(disc, 0))
-    if m * m != disc:
-        return u, disc, m, hyp, None
+    if m is None:
+        return u, hyp, None
     x, y = (u + m) // 2, abs(u - m) // 2
-    return u, disc, m, hyp, _proven_ppt(x, y, hyp) if x % 2 else _proven_ppt(y, x, hyp)
+    return u, hyp, _proven_ppt(x, y, hyp) if x % 2 else _proven_ppt(y, x, hyp)
 
 
 def anti_derivative(t: PPT, kind: DerivativeKind) -> AntiDerivative:
@@ -248,12 +257,12 @@ def anti_derivative(t: PPT, kind: DerivativeKind) -> AntiDerivative:
     is set exactly when they collapse to integers, which are then the legs of
     a primitive triple whose derivative is t.
     """
-    u, disc, m, hyp, integral = _preimage(t, kind)
+    disc, m = _discriminant(t, kind)
+    u, hyp, integral = _preimage(t, kind, m)
     # The roots are what QuadraticSurd(u, disc, 2, +-1) normalises to.  u = P +- Q
     # is odd, so no g > 1 divides both u and 2 and (u, disc, 2) is in lowest terms.
     # A square disc = m^2, the case with an integral preimage, collapses to the integers
-    # (u +- m)/2 over 1 as the public constructor does; disc = u^2 -+ 8PQ is odd, so
-    # u +- m is even.
+    # (u +- m)/2 over 1 as the public constructor does; disc is odd, so u +- m is even.
     if integral is not None:
         roots = (_proven_surd((u + m) // 2, 0, 1, 1), _proven_surd((u - m) // 2, 0, 1, 1))
     else:
@@ -263,7 +272,8 @@ def anti_derivative(t: PPT, kind: DerivativeKind) -> AntiDerivative:
 
 def is_derivative(t: PPT, kind: DerivativeKind) -> PPT | None:
     """The integral anti-derivative of t under `kind`, or None when there is none."""
-    return _preimage(t, kind)[4]
+    m = _discriminant(t, kind)[1]
+    return None if m is None else _preimage(t, kind, m)[2]
 
 
 def factor_class_transition(t: PPT) -> tuple[TClass, TClass]:

@@ -30,13 +30,14 @@ class InvalidParity(TripleError):
     """The legs are not one odd, one even."""
 
 
-def _shown(x: object, noun: str, form=str) -> str:
+def _shown(x: object, noun: str, form=str, parts: tuple[int, ...] | None = None) -> str:
     # form(x) for an error message, or x by size past the interpreter's int-to-str digit
-    # limit; x is then an int or a Fraction.
+    # limit; x is then an int or a Fraction, or made of the ints in parts.
     try:
         return form(x)
     except ValueError:
-        return f"a {max(abs(x.numerator), x.denominator).bit_length()}-bit {noun}"
+        parts = parts or (x.numerator, x.denominator)
+        return f"a {max(abs(n) for n in parts).bit_length()}-bit {noun}"
 
 
 class TClass(Enum):

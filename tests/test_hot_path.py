@@ -29,6 +29,7 @@ from pptalgebra import (
     triple_from_primary,
     triple_from_secondary,
 )
+from pptalgebra import symphonic
 from pptalgebra.generators import _generator_pair
 
 
@@ -168,23 +169,59 @@ def test_proven_triples_equal_checked_ones():
         _assert_same_as_checked(t)
 
 
-def test_anti_derivative_roots_equal_checked_surds(big_triples):
+def _assert_roots_equal_checked_surds(t: PPT) -> int:
     # The roots are built without QuadraticSurd's normalisation; they must equal
-    # what the public constructor makes of (u, disc, 2, +-1), field for field.
+    # what the public constructor makes of (u, u^2 -+ 8pq, 2, +-1), field for field.
+    # Returns the number of integral preimages.
+    q, p = generators_of(t)[0].as_integer_ratio()
     hits = 0
-    for t in list(iter_by_hypotenuse(20000)) + big_triples:
-        q, p = generators_of(t)[0].as_integer_ratio()
-        for kind, sign in ((DerivativeKind.MAJOR, 1), (DerivativeKind.MINOR, -1)):
-            u = p + sign * q
-            disc = u * u - sign * 8 * p * q
-            got = anti_derivative(t, kind)
-            assert got.kind is kind
-            assert got.hypotenuse == p - sign * q
-            assert got.integral == is_derivative(t, kind)
-            hits += got.integral is not None
-            for root, root_sign in zip(got.roots, (1, -1)):
-                checked = QuadraticSurd(u, disc, 2, root_sign)
-                assert type(root) is QuadraticSurd
-                assert (root.u, root.d, root.v, root.sign) == (checked.u, checked.d, checked.v, checked.sign)
-                assert root == checked and hash(root) == hash(checked)
+    for kind, sign in ((DerivativeKind.MAJOR, 1), (DerivativeKind.MINOR, -1)):
+        u = p + sign * q
+        disc = u * u - sign * 8 * p * q
+        got = anti_derivative(t, kind)
+        assert got.kind is kind
+        assert got.hypotenuse == p - sign * q
+        assert got.integral == is_derivative(t, kind)
+        hits += got.integral is not None
+        for root, root_sign in zip(got.roots, (1, -1)):
+            checked = QuadraticSurd(u, disc, 2, root_sign)
+            assert type(root) is QuadraticSurd
+            assert (root.u, root.d, root.v, root.sign) == (checked.u, checked.d, checked.v, checked.sign)
+            assert root == checked and hash(root) == hash(checked)
+    return hits
+
+
+def test_anti_derivative_roots_equal_checked_surds(big_triples):
+    hits = sum(_assert_roots_equal_checked_surds(t) for t in list(iter_by_hypotenuse(20000)) + big_triples)
     assert hits > 0
+
+
+@given(primary_pair())
+def test_anti_derivative_roots_equal_checked_surds_on_drawn_generators(pair):
+    # The drawn triple and both its derivatives, so each kind meets a square discriminant.
+    t = triple_from_primary(Fraction(*pair))
+    _assert_roots_equal_checked_surds(t)
+    assert all(_assert_roots_equal_checked_surds(derivative(t, kind)) for kind in DerivativeKind)
+
+
+def test_misses_never_read_the_generator_pair(monkeypatch):
+    # is_derivative decides a miss from the sides alone and reads the generator pair
+    # only when the discriminant is a square.  A preimage's hypotenuse is below its
+    # image's, so mapping every triple forward finds every hit.
+    triples = list(iter_by_hypotenuse(10**4))
+    images = {kind: {derivative(s, kind) for s in triples} for kind in DerivativeKind}
+
+    def spy(t):
+        raise AssertionError(f"generator pair read for {t}")
+
+    monkeypatch.setattr(symphonic, "_generator_pair", spy)
+    hits = 0
+    for t in triples:
+        for kind in DerivativeKind:
+            if t in images[kind]:
+                hits += 1
+                with pytest.raises(AssertionError, match="generator pair read"):
+                    is_derivative(t, kind)
+            else:
+                assert is_derivative(t, kind) is None
+    assert 0 < hits < len(triples)

@@ -234,12 +234,21 @@ def test_surd_str():
 
 
 def test_surd_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^zero denominator$"):
         QuadraticSurd(1, 2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^sign must be \+1 or -1, got 5$"):
         QuadraticSurd(1, 2, 3, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\(1 \+ sqrt\(2\)\)/3 is irrational$"):
         QuadraticSurd(1, 2, 3).as_fraction()
+
+
+def test_huge_surd_values_in_errors_are_named_by_size():
+    # Past the default int-to-str limit the values cannot be printed; the error
+    # keeps its class and gives their size.
+    with pytest.raises(ValueError, match=r"^sign must be \+1 or -1, got a 16610-bit integer$"):
+        QuadraticSurd(1, 2, 3, 10**5000)
+    with pytest.raises(ValueError, match="^a 16610-bit surd is irrational$"):
+        QuadraticSurd(10**5000, 2, 3).as_fraction()
 
 
 # --------------------------------------------------------- anti-derivatives
@@ -270,6 +279,13 @@ def test_anti_derivative_round_trip(corpus, big_triples):
             back = anti_derivative(d, kind)
             assert back.integral == t
             assert back.hypotenuse == t.c
+            assert is_derivative(d, kind) == t
+    # The Fermat and Pythagorean members have c < 3b, a negative major discriminant.
+    negative = [t for t in big_triples if t.c < 3 * t.b]
+    assert len(negative) >= 2
+    for t in negative:
+        assert is_derivative(t, MAJOR) is None
+        assert anti_derivative(t, MAJOR).roots[0].d < 0
 
 
 def test_is_derivative_matches_forward_table():
