@@ -10,7 +10,7 @@ payload, one "field: value" line per field after an optional heading.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 
 from .triple_core import (
@@ -423,6 +423,8 @@ def run(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
+        if args.json:
+            import json  # only here: text requests need not pay for importing it
         print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
         return 0
     finally:
@@ -431,7 +433,13 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        status = run()
+        sys.stdout.flush()  # a reader that closed the pipe early shows here, not at exit
+    except BrokenPipeError:  # as in `ppt level 9 | head -1`: exit 1 quietly, the rest to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .triple_core import PPT, TripleError, _proven_ppt, _shown
+from .triple_core import PPT, TripleError, _assign, _proven_ppt, _record, _shown
 
 __all__ = [
     "KeySequence", "Radii", "WrongParity", "format_fraction", "generators_of",
@@ -53,7 +52,7 @@ def format_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-@dataclass(frozen=True)
+@_record
 class KeySequence:
     """Four positive integers [q2, q1, p1, p2] packaging both generators of a triple.
 
@@ -67,16 +66,17 @@ class KeySequence:
     p1: int
     p2: int
 
-    def __post_init__(self) -> None:
-        entries = (self.q2, self.q1, self.p1, self.p2)
+    def __init__(self, q2: int, q1: int, p1: int, p2: int) -> None:
+        _assign(self, q2, q1, p1, p2)
+        entries = (q2, q1, p1, p2)
         for v in entries:
             if not isinstance(v, int) or v <= 0:
                 raise ValueError(f"key sequence entries must be positive integers, got {_shown(v, 'integer', repr)}")
-        if self.q2 + self.q1 != self.p1 or self.q1 + self.p1 != self.p2:
+        if q2 + q1 != p1 or q1 + p1 != p2:
             problem = "{} violates the Fibonacci rule"
-        elif self.q2 % 2 == 0:
+        elif q2 % 2 == 0:
             problem = "first entry of {} must be odd"
-        elif math.gcd(self.q1, self.q2) != 1:
+        elif math.gcd(q1, q2) != 1:
             problem = "first two entries of {} must be coprime"
         else:
             return
@@ -102,7 +102,7 @@ def parse_key_sequence(text: str) -> KeySequence:
     return KeySequence(*(int(g) for g in m.groups()))
 
 
-@dataclass(frozen=True)
+@_record
 class Radii:
     """In-circle radius r1 and ex-circle radii r2, r3, r4 of a primitive triple.
 
@@ -114,9 +114,10 @@ class Radii:
     r3: int
     r4: int
 
-    def __post_init__(self) -> None:
-        if self.r1 + self.r2 + self.r3 != self.r4 or self.r1 * self.r4 != self.r2 * self.r3:
-            shown = ", ".join(_shown(r, "integer") for r in (self.r1, self.r2, self.r3, self.r4))
+    def __init__(self, r1: int, r2: int, r3: int, r4: int) -> None:
+        _assign(self, r1, r2, r3, r4)
+        if r1 + r2 + r3 != r4 or r1 * r4 != r2 * r3:
+            shown = ", ".join(_shown(r, "integer") for r in (r1, r2, r3, r4))
             raise ValueError(f"({shown}) violates the radius identities")
 
 

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational
 
-from .triple_core import PPT, TClass, _proven_ppt, _shown, classify
+from .triple_core import PPT, TClass, _assign, _proven_ppt, _record, _shown, classify
 from .generators import _generator_pair, _generators, _primary_triple
 
 __all__ = [
@@ -28,7 +27,7 @@ class DerivativeKind(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@_record
 class SquarePair:
     """Sides of the two inscribed squares of a right triangle: h against a leg
     corner, s against the hypotenuse.  Satisfies c > h > s and the reciprocal
@@ -37,13 +36,16 @@ class SquarePair:
     h: Fraction
     s: Fraction
 
+    def __init__(self, h: Fraction, s: Fraction) -> None:
+        _assign(self, h, s)
+
 
 # Most candidates QuadraticSurd tries for the common factor of u, v and d, so
 # that its time is not linear in their gcd.
 _SURD_SCAN_CAP = 100_000
 
 
-@dataclass(frozen=True)
+@_record
 class QuadraticSurd:
     """Exact value (u + sign*sqrt(d))/v with integer u, d and positive v.
 
@@ -57,10 +59,9 @@ class QuadraticSurd:
     u: int
     d: int
     v: int
-    sign: int = 1
+    sign: int
 
-    def __post_init__(self) -> None:
-        u, d, v, sign = self.u, self.d, self.v, self.sign
+    def __init__(self, u: int, d: int, v: int, sign: int = 1) -> None:
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {_shown(sign, 'integer')}")
         if v == 0:
@@ -86,10 +87,7 @@ class QuadraticSurd:
                     raise ValueError(
                         f"the common-factor scan would try more than its cap of {_SURD_SCAN_CAP} candidates"
                     )
-        object.__setattr__(self, "u", u // g)
-        object.__setattr__(self, "d", d // (g * g))
-        object.__setattr__(self, "v", v // g)
-        object.__setattr__(self, "sign", sign)
+        _assign(self, u // g, d // (g * g), v // g, sign)
 
     @property
     def is_rational(self) -> bool:
@@ -107,7 +105,7 @@ class QuadraticSurd:
         return f"({self.u} {op} sqrt({self.d}))/{self.v}"
 
 
-@dataclass(frozen=True)
+@_record
 class AntiDerivative:
     """Exact preimage of a triple under one derivative kind.
 
@@ -121,6 +119,11 @@ class AntiDerivative:
     roots: tuple[QuadraticSurd, QuadraticSurd]
     hypotenuse: int
     integral: PPT | None
+
+    def __init__(
+        self, kind: DerivativeKind, roots: tuple[QuadraticSurd, QuadraticSurd], hypotenuse: int, integral: PPT | None
+    ) -> None:
+        _assign(self, kind, roots, hypotenuse, integral)
 
 
 def harmonic_sum(alpha: Rational, beta: Rational) -> Fraction:
@@ -137,7 +140,7 @@ def inscribed_squares(t: PPT) -> SquarePair:
     return SquarePair(Fraction(a * b, a + b), Fraction(a * b * c, a * b + c * c))
 
 
-@dataclass(frozen=True)
+@_record
 class IntegerSquareScale:
     """Smallest integer multiple of a triple whose inscribed squares are integers."""
 
@@ -145,6 +148,9 @@ class IntegerSquareScale:
     scaled: tuple[int, int, int]
     h: int
     s: int
+
+    def __init__(self, scale: int, scaled: tuple[int, int, int], h: int, s: int) -> None:
+        _assign(self, scale, scaled, h, s)
 
 
 def integer_square_scale(t: PPT) -> IntegerSquareScale:

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .triple_core import PPT, TripleError, _shown
+from .triple_core import PPT, TripleError, _assign, _record, _setattr, _shown
 from .generators import (
     _generator_pair,
     _primary_triple,
@@ -66,7 +65,7 @@ _TOKEN_RE = re.compile(r"([ABC])(?:\^([0-9]+))?")
 _MAX_EXPANDED_LETTERS = 10_000
 
 
-@dataclass(frozen=True)
+@_record
 class PathCode:
     """A word over {A, B, C}, stored as maximal (letter, count) runs.
 
@@ -75,11 +74,11 @@ class PathCode:
     care about materializability.
     """
 
-    runs: tuple[tuple[str, int], ...] = ()
+    runs: tuple[tuple[str, int], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, runs: tuple[tuple[str, int], ...] = ()) -> None:
         merged: list[tuple[str, int]] = []
-        for letter, count in self.runs:
+        for letter, count in runs:
             if letter not in ("A", "B", "C"):
                 raise ValueError(f"path letter must be A, B or C, got {_shown(letter, 'integer', repr)}")
             if not isinstance(count, int):
@@ -92,7 +91,7 @@ class PathCode:
                 merged[-1] = (letter, merged[-1][1] + count)
             else:
                 merged.append((letter, count))
-        object.__setattr__(self, "runs", tuple(merged))
+        _setattr(self, "runs", tuple(merged))
 
     @classmethod
     def parse(cls, text: str) -> "PathCode":
@@ -359,7 +358,7 @@ def derive_generator(f: Fraction, kind: DerivativeKind) -> Fraction:
     return corollary_generators(triple_from_primary(f), kind)[0]
 
 
-@dataclass(frozen=True)
+@_record
 class PellPair:
     """n-th terms of the twin Pell sequences 1,2,5,12,29,... and 1,3,7,17,41,...
 
@@ -370,6 +369,9 @@ class PellPair:
     index: int
     p: int
     q: int
+
+    def __init__(self, index: int, p: int, q: int) -> None:
+        _assign(self, index, p, q)
 
 
 def pell(n: int) -> PellPair:
@@ -401,16 +403,17 @@ _FAMILY_LETTER = {
 }
 
 
-@dataclass(frozen=True)
+@_record
 class Family:
     """The n-th member of a classical family (1-based)."""
 
     line: FamilyLine
     index: int
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"family index must be positive, got {_shown(self.index, 'integer')}")
+    def __init__(self, line: FamilyLine, index: int) -> None:
+        _assign(self, line, index)
+        if index < 1:
+            raise ValueError(f"family index must be positive, got {_shown(index, 'integer')}")
 
     @property
     def path_code(self) -> PathCode:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from enum import Enum
 from fractions import Fraction
 
@@ -40,6 +40,42 @@ def _shown(x: object, noun: str, form=str, parts: tuple[int, ...] | None = None)
         return f"a {max(abs(n) for n in parts).bit_length()}-bit {noun}"
 
 
+_setattr = object.__setattr__
+
+
+def _assign(record: object, *values: object) -> None:
+    # Set the fields past the frozen __setattr__, in declaration order: that keeps key-sharing dicts.
+    for name, value in zip(record.__match_args__, values):
+        _setattr(record, name, value)
+
+
+def _frozen(record: object, name: str, *value: object):
+    from dataclasses import FrozenInstanceError  # imported here only: it is slow to import
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _compare(op, key):
+    return lambda self, other: op(key(self), key(other)) if other.__class__ is self.__class__ else NotImplemented
+
+
+def _record(cls: type | None = None, *, order: bool = False):
+    # dataclass(frozen=True, order=order) without its import or compiled code.  repr, hash, == and the
+    # orderings use the tuple of annotated fields; == takes a lone field bare, which compares the same.
+    if cls is None:
+        return lambda cls: _record(cls, order=order)
+    fields = tuple(cls.__annotations__)
+    get = operator.attrgetter(*fields)
+    key = get if len(fields) > 1 else lambda record: (get(record),)
+    template = "{}(" + ", ".join(f"{name}={{!r}}" for name in fields) + ")"
+    cls.__repr__ = lambda self: template.format(self.__class__.__qualname__, *key(self))
+    cls.__hash__ = lambda self: hash(key(self))
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    cls.__match_args__ = fields
+    for op in ("eq", "lt", "le", "gt", "ge") if order else ("eq",):
+        setattr(cls, f"__{op}__", _compare(getattr(operator, op), get))
+    return cls
+
+
 class TClass(Enum):
     """Divisibility class of a primitive triple.
 
@@ -59,7 +95,7 @@ class TClass(Enum):
         return self.value
 
 
-@dataclass(frozen=True, order=True)
+@_record(order=True)
 class PPT:
     """A primitive Pythagorean triple in canonical orientation.
 
@@ -72,19 +108,22 @@ class PPT:
     b: int
     c: int
 
-    def __post_init__(self) -> None:
-        for side in (self.a, self.b, self.c):
+    def __init__(self, a: int, b: int, c: int) -> None:
+        _setattr(self, "a", a)  # _assign unrolled: its loop costs about as much as the checks
+        _setattr(self, "b", b)
+        _setattr(self, "c", c)
+        for side in (a, b, c):
             if not isinstance(side, int) or side <= 0:
                 raise TripleError(f"sides must be positive integers, got {_shown(side, 'integer', repr)}")
-        if self.a * self.a + self.b * self.b != self.c * self.c:
-            a, b, c = (_shown(side, "integer") for side in self.sides())
-            raise NotATriple(f"{a}^2 + {b}^2 != {c}^2")
-        if math.gcd(self.a, self.b) != 1:
-            a, b, _ = (_shown(side, "integer") for side in self.sides())
-            raise NotPrimitive(f"legs {a}, {b} share a common factor")
-        if self.a % 2 == 0 or self.b % 2 == 1:
-            a, b, _ = (_shown(side, "integer") for side in self.sides())
-            raise InvalidParity(f"expected odd leg, even leg; got ({a}, {b})")
+        if a * a + b * b != c * c:
+            problem, error = "{}^2 + {}^2 != {}^2", NotATriple
+        elif math.gcd(a, b) != 1:
+            problem, error = "legs {}, {} share a common factor", NotPrimitive
+        elif a % 2 == 0 or b % 2 == 1:
+            problem, error = "expected odd leg, even leg; got ({}, {})", InvalidParity
+        else:
+            return
+        raise error(problem.format(*(_shown(side, "integer") for side in (a, b, c))))
 
     def sides(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
@@ -93,13 +132,16 @@ class PPT:
         return f"[{self.a}, {self.b}, {self.c}]"
 
 
-@dataclass(frozen=True)
+@_record
 class DivisibilityWitness:
     """Which sides carry the guaranteed factors 4, 3, and 5."""
 
     four_divides_b: bool
     three_divides: str  # "a" or "b"
     five_divides: str  # "a", "b", or "c"
+
+    def __init__(self, four_divides_b: bool, three_divides: str, five_divides: str) -> None:
+        _assign(self, four_divides_b, three_divides, five_divides)
 
 
 def _proven_ppt(a: int, b: int, c: int) -> PPT:
