@@ -5,8 +5,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from numbers import Rational
 
-from .triple_core import PPT, TripleError, _assign, _proven_ppt, _record, _shown
+from .triple_core import PPT, TripleError, _assign, _proven_fraction, _proven_ppt, _record, _shown
 
 __all__ = [
     "KeySequence", "Radii", "WrongParity", "format_fraction", "generators_of",
@@ -34,9 +35,17 @@ def proper_fraction(numerator: int, denominator: int) -> Fraction:
     raise ValueError(problem.format(f"{_shown(numerator, 'numerator')}/{_shown(denominator, 'denominator')}"))
 
 
-def require_proper(f: Fraction) -> Fraction:
-    if not 0 < f < 1:
+def _proper_pair(f: Fraction) -> tuple[int, int]:
+    # The (q, p) of a proper fraction: each public call reads its generator here, once.
+    if not isinstance(f, Rational):
+        raise TypeError(f"expected a fraction, got {type(f).__name__}")
+    if not 0 < f.numerator < f.denominator:
         raise ValueError(f"expected a proper fraction, got {_shown(f, 'fraction')}")
+    return f.numerator, f.denominator
+
+
+def require_proper(f: Fraction) -> Fraction:
+    _proper_pair(f)
     return f
 
 
@@ -129,7 +138,8 @@ def _generator_pair(t: PPT) -> tuple[int, int]:
 
 
 def _generators(q: int, p: int) -> tuple[Fraction, Fraction]:
-    return Fraction(q, p), Fraction(p - q, p + q)  # a/(c+b) = (p-q)(p+q)/(p+q)^2
+    # For coprime q < p of opposite parity: p -+ q are odd, and a common factor divides 2p and 2q.
+    return _proven_fraction(q, p), _proven_fraction(p - q, p + q)  # a/(c+b) = (p-q)(p+q)/(p+q)^2
 
 
 def generators_of(t: PPT) -> tuple[Fraction, Fraction]:
@@ -143,8 +153,7 @@ def key_sequence_from_fraction(f: Fraction) -> KeySequence:
     An even numerator+denominator sum places the fraction in the outer slots
     (secondary), an odd sum in the inner slots (primary).
     """
-    require_proper(f)
-    q, p = f.numerator, f.denominator
+    q, p = _proper_pair(f)
     if (q + p) % 2 == 0:
         return KeySequence(q, (p - q) // 2, (p + q) // 2, p)
     return KeySequence(p - q, q, p, p + q)
@@ -164,8 +173,7 @@ def triple_from_key(k: KeySequence) -> PPT:
 
 def triple_from_primary(f: Fraction) -> PPT:
     """The triple (p^2 - q^2, 2pq, p^2 + q^2) generated by a primary fraction q/p."""
-    require_proper(f)
-    q, p = f.numerator, f.denominator
+    q, p = _proper_pair(f)
     if (q + p) % 2 == 0:
         raise WrongParity(f"{_shown(f, 'fraction')} has even numerator+denominator sum; it is a secondary generator")
     return _primary_triple(q, p)
@@ -182,8 +190,7 @@ def _primary_triple(q: int, p: int) -> PPT:
 
 def triple_from_secondary(f: Fraction) -> PPT:
     """The triple (pq, (p^2 - q^2)/2, (p^2 + q^2)/2) generated by a secondary fraction q/p."""
-    require_proper(f)
-    q, p = f.numerator, f.denominator
+    q, p = _proper_pair(f)
     if (q + p) % 2 == 1:
         raise WrongParity(f"{_shown(f, 'fraction')} has odd numerator+denominator sum; it is a primary generator")
     # A reduced secondary q/p has both terms odd, so the halves are coprime and sum to the odd p.

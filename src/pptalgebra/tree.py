@@ -15,13 +15,8 @@ from collections.abc import Iterable, Iterator
 from enum import Enum
 from fractions import Fraction
 
-from .triple_core import PPT, TripleError, _assign, _record, _setattr, _shown
-from .generators import (
-    _generator_pair,
-    _primary_triple,
-    require_proper,
-    triple_from_primary,
-)
+from .triple_core import PPT, TripleError, _assign, _proven_fraction, _record, _setattr, _shown
+from .generators import _generator_pair, _primary_triple, _proper_pair, triple_from_primary
 from .symphonic import DerivativeKind, corollary_generators
 
 __all__ = [
@@ -118,12 +113,24 @@ class PathCode:
         return self.length
 
     def __add__(self, other: "PathCode") -> "PathCode":
-        return PathCode(self.runs + other.runs)
+        left, right = self.runs, other.runs
+        if left and right and left[-1][0] == right[0][0]:
+            left, right = left[:-1], ((left[-1][0], left[-1][1] + right[0][1]),) + right[1:]
+        return _path_code(left + right)
 
     def __mul__(self, times: int) -> "PathCode":
+        if not isinstance(times, int):
+            return NotImplemented
         if times < 0:
             raise ValueError(f"cannot repeat a path code {_shown(times, 'integer')} times")
-        return PathCode(self.runs * times)
+        runs = self.runs
+        if times < 2 or not runs or runs[0][0] != runs[-1][0]:
+            return _path_code(runs * times)
+        # Each copy's last run meets the next copy's first run of the same letter: one run per seam.
+        if len(runs) == 1:
+            return _path_code(((runs[0][0], runs[0][1] * times),))
+        seam = ((runs[0][0], runs[-1][1] + runs[0][1]),)
+        return _path_code(runs[:-1] + (seam + runs[1:-1]) * (times - 1) + runs[-1:])
 
     def letters(self) -> str:
         """The fully expanded word; refuses codes too long to materialize."""
@@ -141,6 +148,14 @@ class PathCode:
         if self.length <= _MAX_EXPANDED_LETTERS:
             return self.letters()
         return self.compact()
+
+
+def _path_code(runs: tuple[tuple[str, int], ...]) -> PathCode:
+    # A PathCode without the checks, for runs a caller has proven maximal: letters A, B
+    # or C, integer counts >= 1, no two adjacent runs of one letter.
+    code = object.__new__(PathCode)
+    _setattr(code, "runs", runs)
+    return code
 
 
 def step(f: Fraction, letter: str) -> Fraction:
@@ -166,6 +181,23 @@ def _up(q: int, p: int) -> tuple[str, int, int, int]:
     return "C", count, q - count * delta, p - count * delta
 
 
+def _regress(q: int, p: int, runs: list[tuple[str, int]], floor: int = 0) -> tuple[int, int]:
+    # Regress q/p by maximal runs while 0 < q < p, a step takes letters and p stays
+    # at or above floor; append the runs, bottom first, to `runs`, merging equal
+    # letters (B comes one at a time), and return the pair reached.  An exact pair
+    # stops at the root 1/2 (a step of no letters) or at 1/1, reached only from 1/3.
+    while 0 < q < p:
+        letter, count, q_up, p_up = _up(q, p)
+        if count == 0 or p_up < floor:
+            break
+        q, p = q_up, p_up
+        if runs and runs[-1][0] == letter:
+            runs[-1] = (letter, runs[-1][1] + count)
+        else:
+            runs.append((letter, count))
+    return q, p
+
+
 # Generators whose p has more bits than this regress in chunks.  Below it a
 # full-size pass costs about what a chunk spends per run in small ints.
 _CHUNK_FROM_BITS = 6000
@@ -184,16 +216,8 @@ def _top_chunk(q: int, p: int) -> tuple[list[tuple[str, int]], int, int]:
     # intervals (0, 1/3), (1/3, 1/2) and (1/2, 1), so a proper preimage fixes
     # every letter above it.  A wrong truncated guess only fails that test.
     shift = p.bit_length() - _TOP_BITS
-    a, b = q >> shift, p >> shift
     runs: list[tuple[str, int]] = []
-    while 0 < a < b:
-        letter, count, a, b = _up(a, b)
-        if count == 0 or b < _TOP_FLOOR:
-            break
-        if runs and runs[-1][0] == letter:  # only B comes one letter at a time
-            runs[-1] = (letter, runs[-1][1] + count)
-        else:
-            runs.append((letter, count))
+    _regress(q >> shift, p >> shift, runs, _TOP_FLOOR)
     if not runs:
         return runs, 0, 0
     # The runs' forward matrix is unimodular, so its inverse is det * adjugate.
@@ -207,14 +231,14 @@ def parent(f: Fraction) -> tuple[Fraction, str] | Root:
 
     Returns ROOT for 1/2.
     """
-    require_proper(f)
-    q, p = f.numerator, f.denominator
+    q, p = _proper_pair(f)
     if q == 1 and p == 2:
         return ROOT
     if q == 1 and p == 3:
         raise SecondaryRoot("1/3 roots the secondary tree and has no parent here")
     letter, count, q, p = _up(q, p)
-    return apply_path(Fraction(q, p), PathCode(((letter, count - 1),))), letter
+    # _up is unimodular, so the pair it reaches is still coprime.
+    return apply_path(_proven_fraction(q, p), PathCode(((letter, count - 1),))), letter
 
 
 def locate(f: Fraction) -> PathCode:
@@ -225,21 +249,22 @@ def locate(f: Fraction) -> PathCode:
     full pair once, so each full-size pass takes off about 400 bits rather
     than one run or one B letter.
     """
-    require_proper(f)
-    q, p = f.numerator, f.denominator
-    reversed_runs: list[tuple[str, int]] = []
-    while not (q == 1 and p == 2):
-        if q == 1 and p == 3:
-            raise NotInPrimaryTree(f"{_shown(f, 'generator')} regresses to 1/3; it generates no triple")
-        if p.bit_length() > _CHUNK_FROM_BITS:
-            runs, q_up, p_up = _top_chunk(q, p)
-            if runs and 0 < q_up < p_up:
-                reversed_runs += runs
-                q, p = q_up, p_up
-                continue
-        letter, count, q, p = _up(q, p)
-        reversed_runs.append((letter, count))
-    return PathCode(tuple(reversed(reversed_runs)))
+    q, p = _proper_pair(f)
+    runs: list[tuple[str, int]] = []  # maximal, bottom first
+    while p.bit_length() > _CHUNK_FROM_BITS:
+        chunk, q_up, p_up = _top_chunk(q, p)
+        if not (chunk and 0 < q_up < p_up):
+            letter, count, q_up, p_up = _up(q, p)
+            chunk = [(letter, count)]
+        if runs and runs[-1][0] == chunk[0][0]:  # the seam
+            chunk[0] = (chunk[0][0], runs[-1][1] + chunk[0][1])
+            runs.pop()
+        runs += chunk
+        q, p = q_up, p_up
+    q, p = _regress(q, p, runs)
+    if p != 2:
+        raise NotInPrimaryTree(f"{_shown(f, 'generator')} regresses to 1/3; it generates no triple")
+    return _path_code(tuple(reversed(runs)))
 
 
 def _mat_mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, int, int, int]:
@@ -265,37 +290,48 @@ def _b_power(count: int) -> tuple[int, int, int, int]:
         base = _mat_mul(base, base)
 
 
-def _run_matrix(letter: str, count: int) -> tuple[int, int, int, int]:
-    # The forward map of `count` letters on the column (q, p), row-major.
-    if letter == "A":
-        return 1, 0, 2 * count, 1
-    if letter == "C":
-        return 1 - count, count, -count, 1 + count
-    return _b_power(count)
+# A leaf product whose last row passes this bound goes onto the binary-splitting stack.
+_LEAF_MAX = 1 << 384
 
 
 def _path_matrix(runs: Iterable[tuple[str, int]]) -> tuple[int, int, int, int]:
-    # The product of the run matrices, later runs on the left, by binary
-    # splitting: a stack merges products of equally many runs, so the big
+    # The product of the run matrices, later runs on the left.  Runs multiply in
+    # place into a small leaf (w, x; y, z): A^k adds 2k row 0 to row 1, C^k adds
+    # k (row 1 - row 0) to both rows, one B maps the rows (r0, r1) to (r1, r0 + 2 r1)
+    # and longer B runs multiply by _b_power.  Each maps the cone 0 <= q <= p into
+    # itself, so y and z bound all four entries within a bit.  Full leaves multiply
+    # by binary splitting: a stack merges products of equally many leaves, so big
     # products pair numbers of like size and only O(log runs) are held at once.
     stack: list[tuple[tuple[int, int, int, int], int]] = []
+    w, x, y, z = 1, 0, 0, 1
     for letter, count in runs:
-        m, size = _run_matrix(letter, count), 1
-        while stack and stack[-1][1] == size:
-            m, size = _mat_mul(m, stack.pop()[0]), 2 * size
-        stack.append((m, size))
-    product = (1, 0, 0, 1)
-    for m, _ in stack:
-        product = _mat_mul(m, product)
+        if letter == "A":
+            y, z = y + 2 * count * w, z + 2 * count * x
+        elif letter == "C":
+            dw, dx = count * (y - w), count * (z - x)
+            w, x, y, z = w + dw, x + dx, y + dw, z + dx
+        elif count == 1:
+            w, x, y, z = y, z, w + 2 * y, x + 2 * z
+        else:
+            w, x, y, z = _mat_mul(_b_power(count), (w, x, y, z))
+        if y > _LEAF_MAX or z > _LEAF_MAX:
+            m, size = (w, x, y, z), 1
+            while stack and stack[-1][1] == size:
+                m, size = _mat_mul(m, stack.pop()[0]), 2 * size
+            stack.append((m, size))
+            w, x, y, z = 1, 0, 0, 1
+    product = w, x, y, z
+    for m, _ in reversed(stack):
+        product = _mat_mul(product, m)
     return product
 
 
 def apply_path(f: Fraction, code: PathCode) -> Fraction:
     """Follow a path code downward from f: one matrix for the whole code, applied once."""
-    require_proper(f)
-    q, p = f.numerator, f.denominator
+    q, p = _proper_pair(f)
     a, b, c, d = _path_matrix(code.runs)
-    return Fraction(a * q + b * p, c * q + d * p)
+    # The product is unimodular, so it sends the coprime pair of f to a coprime pair.
+    return _proven_fraction(a * q + b * p, c * q + d * p)
 
 
 def _children(q: int, p: int) -> tuple[tuple[int, int], ...]:

@@ -154,6 +154,16 @@ def _proven_ppt(a: int, b: int, c: int) -> PPT:
     return t
 
 
+def _proven_fraction(q: int, p: int) -> Fraction:
+    # Fraction(q, p) without its gcd, for coprime q and p > 0; 3.12+ has _from_coprime_ints for this.
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = q, p  # before 3.12 a Fraction is these two slots
+    return f
+
+
+_proven_fraction = getattr(Fraction, "_from_coprime_ints", _proven_fraction)
+
+
 def make_ppt(x: int, y: int, z: int) -> PPT:
     """Build a canonical PPT from three sides given in any leg order.
 

@@ -1,6 +1,8 @@
 """Shared fixtures and an independent brute-force enumeration oracle."""
 
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
@@ -39,6 +41,26 @@ def brute_force_ppts(max_c: int) -> list[PPT]:
             if c * c == c2 and math.gcd(a, b) == 1:
                 found.append(PPT(a, b, c))
     return sorted(found)
+
+
+def assert_same_fraction(got: Fraction, want: Fraction) -> None:
+    """`got`, built without a gcd, is `want` in every way a caller can see."""
+    assert type(got) is Fraction
+    assert got.as_integer_ratio() == want.as_integer_ratio()
+    assert got == want and hash(got) == hash(want)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert str(got) == str(want) and repr(got) == repr(want)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    third = Fraction(1, 3)
+    assert (got + third) - third == want and (got * third) / third == want
+
+
+@pytest.fixture(scope="session")
+def same_fraction():
+    return assert_same_fraction
 
 
 @pytest.fixture(scope="session")

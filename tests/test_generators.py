@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,14 +10,19 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pptalgebra import (
+    ROOT_GENERATOR,
     KeySequence,
+    PathCode,
     Radii,
     WrongParity,
+    apply_path,
     format_fraction,
     generators_of,
     key_sequence_from_fraction,
     key_sequence_of,
+    locate,
     make_ppt,
+    parent,
     parse_fraction,
     parse_key_sequence,
     proper_fraction,
@@ -184,3 +190,26 @@ def test_proper_fraction_guards():
         proper_fraction(-1, 2)
     with pytest.raises(ValueError, match="^expected a proper fraction, got 5/3$"):
         require_proper(Fraction(5, 3))
+
+
+GENERATOR_READERS = {
+    "apply_path": lambda f: apply_path(f, PathCode.parse("A")),
+    "key_sequence_from_fraction": key_sequence_from_fraction,
+    "locate": locate,
+    "parent": parent,
+    "require_proper": require_proper,
+    "triple_from_primary": triple_from_primary,
+    "triple_from_secondary": triple_from_secondary,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_READERS))
+def test_generators_that_are_not_fractions_raise_type_error(name):
+    read = GENERATOR_READERS[name]
+    for bad, kind in ((0.5, "float"), (Decimal("0.5"), "Decimal"), ("1/2", "str"), (None, "NoneType")):
+        with pytest.raises(TypeError, match=f"^expected a fraction, got {kind}$"):
+            read(bad)
+    for improper in (0, 1, True, Fraction(5, 3), Fraction(-1, 2)):
+        with pytest.raises(ValueError, match=f"^expected a proper fraction, got {improper}$"):
+            read(improper)
+    read(ROOT_GENERATOR if name != "triple_from_secondary" else Fraction(1, 3))

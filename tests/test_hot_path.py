@@ -1,6 +1,7 @@
 """The private integer hot path: the generator pair and triples built without re-checking."""
 
 import math
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from pptalgebra import (
 )
 from pptalgebra import symphonic
 from pptalgebra.generators import _generator_pair
+from pptalgebra.triple_core import _proven_fraction
 
 
 @st.composite
@@ -225,3 +227,38 @@ def test_misses_never_read_the_generator_pair(monkeypatch):
             else:
                 assert is_derivative(t, kind) is None
     assert 0 < hits < len(triples)
+
+
+@st.composite
+def coprime_pair(draw):
+    # Coprime q and p > 0, small or up to 2^20000; q of either sign and either side of p.
+    bound = draw(st.sampled_from((1000, 2**20000)))
+    p = draw(st.integers(1, bound))
+    q = draw(st.integers(-bound, bound))
+    assume(math.gcd(q, p) == 1)
+    return q, p
+
+
+@given(coprime_pair())
+def test_proven_fraction_is_the_reduced_fraction(same_fraction, pair):
+    same_fraction(_proven_fraction(*pair), Fraction(*pair))
+
+
+def test_proven_fraction_takes_the_interpreter_branch():
+    # 3.12 added a private constructor for coprime pairs; before it a Fraction is two slots.
+    if sys.version_info >= (3, 12):
+        assert _proven_fraction == Fraction._from_coprime_ints
+    else:
+        assert not hasattr(Fraction, "_from_coprime_ints")
+        assert Fraction.__slots__ == ("_numerator", "_denominator")
+        assert _proven_fraction.__module__ == "pptalgebra.triple_core"
+
+
+def test_generators_are_proven_fractions(same_fraction, big_triples):
+    for t in list(iter_by_hypotenuse(5000)) + big_triples:
+        a, b, c = t.sides()
+        for got, want in zip(generators_of(t), (Fraction(b, c + a), Fraction(a, c + b))):
+            same_fraction(got, want)
+        for kind in DerivativeKind:
+            for got, want in zip(corollary_generators(t, kind), corollary_formula(t, kind)):
+                same_fraction(got, want)

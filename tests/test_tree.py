@@ -135,6 +135,41 @@ def b_run(q: int, p: int, count: int) -> tuple[int, int]:
     return xa * q + xb * p, xc * q + xd * p
 
 
+def matrix_by_runs(runs) -> tuple[int, int, int, int]:
+    """One matrix per run, multiplied by binary splitting; the oracle for _path_matrix()."""
+
+    def mul(x, y):
+        return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+                x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+    def run_matrix(letter, count):
+        if letter == "A":
+            return 1, 0, 2 * count, 1
+        if letter == "C":
+            return 1 - count, count, -count, 1 + count
+        (w, y), (x, z) = b_run(1, 0, count), b_run(0, 1, count)
+        return w, x, y, z
+
+    stack = []
+    for letter, count in runs:
+        m, size = run_matrix(letter, count), 1
+        while stack and stack[-1][1] == size:
+            m, size = mul(m, stack.pop()[0]), 2 * size
+        stack.append((m, size))
+    product = (1, 0, 0, 1)
+    for m, _ in stack:
+        product = mul(m, product)
+    return product
+
+
+def assert_maximal(code: PathCode) -> None:
+    """The runs are maximal: letters A, B or C, integer counts >= 1, no two adjacent runs of one letter."""
+    runs = code.runs
+    assert type(runs) is tuple and code == PathCode(runs)
+    assert all(letter in ("A", "B", "C") and type(count) is int and count >= 1 for letter, count in runs)
+    assert all(x[0] != y[0] for x, y in zip(runs, runs[1:]))
+
+
 def apply_by_runs(f: Fraction, code: PathCode) -> Fraction:
     """One full-size pass per run, A and C runs in closed form; the oracle for apply_path()."""
     q, p = f.numerator, f.denominator
@@ -244,6 +279,24 @@ def test_repeat():
     assert PathCode.parse("CAA") * 0 == PathCode()
     with pytest.raises(ValueError):
         PathCode.parse("A") * -1
+
+
+run_lists = st.lists(st.tuples(st.sampled_from("ABC"), st.integers(0, 3)), max_size=8)
+
+
+@given(run_lists, run_lists, st.integers(0, 5))
+def test_sums_and_repeats_merge_at_the_seams(left, right, times):
+    x, y = PathCode(tuple(left)), PathCode(tuple(right))
+    for code, runs in ((x + y, left + right), (x * times, left * times)):
+        assert_maximal(code)
+        assert code == PathCode(tuple(runs))
+
+
+def test_repeat_of_one_run_is_one_run():
+    assert PathCode.parse("A^3") * 10**30 == PathCode((("A", 3 * 10**30),))
+    assert (PathCode.parse("A^2 C A^2") * 3).runs == (("A", 2), ("C", 1), ("A", 4), ("C", 1), ("A", 4), ("C", 1), ("A", 2))
+    with pytest.raises(TypeError):
+        PathCode.parse("A") * 2.0
 
 
 def test_length_and_str():
@@ -368,18 +421,20 @@ def test_huge_negative_counts_are_named_by_size():
 
 @given(primary_fraction())
 def test_locate_matches_naive_regression(f):
-    assert locate(f).letters() == naive_locate(f)
+    code = locate(f)
+    assert_maximal(code)
+    assert code.letters() == naive_locate(f)
 
 
 @given(primary_fraction())
-def test_apply_path_inverts_locate(f):
-    assert apply_path(ROOT_GENERATOR, locate(f)) == f
+def test_apply_path_inverts_locate(same_fraction, f):
+    same_fraction(apply_path(ROOT_GENERATOR, locate(f)), f)
 
 
 @given(st.lists(st.tuples(st.sampled_from("ABC"), st.integers(1, 5)), max_size=12))
-def test_apply_path_matches_naive_stepping(runs):
+def test_apply_path_matches_naive_stepping(same_fraction, runs):
     code = PathCode(tuple(runs))
-    assert apply_path(ROOT_GENERATOR, code) == naive_apply(ROOT_GENERATOR, code.letters())
+    same_fraction(apply_path(ROOT_GENERATOR, code), naive_apply(ROOT_GENERATOR, code.letters()))
 
 
 def test_apply_path_batches_are_exact():
@@ -423,41 +478,84 @@ def chunks(monkeypatch):
     return seen
 
 
-def assert_navigation_matches_oracles(code: PathCode) -> None:
+def assert_navigation_matches_oracles(code: PathCode, same_fraction) -> None:
     f = apply_path(ROOT_GENERATOR, code)
-    assert f == apply_by_runs(ROOT_GENERATOR, code)
-    assert locate(f) == locate_by_runs(f) == code
+    same_fraction(f, apply_by_runs(ROOT_GENERATOR, code))
+    back = locate(f)
+    assert_maximal(back)
+    assert back == locate_by_runs(f) == code
 
 
 @settings(max_examples=5)
 @given(st.integers(0, 2**32), st.integers(1000, 20_000))
-def test_mixed_codes_match_oracles(seed, bits):
-    assert_navigation_matches_oracles(drawn_code(seed, "mixed", bits))
+def test_mixed_codes_match_oracles(same_fraction, seed, bits):
+    assert_navigation_matches_oracles(drawn_code(seed, "mixed", bits), same_fraction)
 
 
 @settings(max_examples=5)
 @given(st.integers(0, 2**32), st.integers(1000, 30_000))
-def test_b_heavy_codes_match_oracles(seed, bits):
-    assert_navigation_matches_oracles(drawn_code(seed, "bheavy", bits))
+def test_b_heavy_codes_match_oracles(same_fraction, seed, bits):
+    assert_navigation_matches_oracles(drawn_code(seed, "bheavy", bits), same_fraction)
 
 
 @settings(max_examples=5)
 @given(st.integers(0, 2**32), st.integers(1000, 130_000))
-def test_astronomical_codes_match_oracles(seed, bits):
-    assert_navigation_matches_oracles(drawn_code(seed, "astro", bits))
+def test_astronomical_codes_match_oracles(same_fraction, seed, bits):
+    assert_navigation_matches_oracles(drawn_code(seed, "astro", bits), same_fraction)
 
 
-def test_long_b_heavy_code_regresses_in_accepted_chunks(chunks):
+@settings(max_examples=20)
+@given(st.sampled_from(("mixed", "bheavy", "astro")), st.integers(0, 2**32), st.integers(0, 20_000))
+def test_path_matrix_matches_the_run_by_run_product(shape, seed, bits):
+    runs = drawn_code(seed, shape, bits).runs
+    assert tree._path_matrix(runs) == matrix_by_runs(runs)
+
+
+@given(st.lists(st.one_of(
+    st.tuples(st.sampled_from("AC"), st.integers(1, 10**30)),
+    st.tuples(st.just("B"), st.integers(1, 600)),
+), max_size=30))
+def test_path_matrix_matches_the_run_by_run_product_on_raw_runs(runs):
+    # Any runs, adjacent equal letters included, as a chunk of locate passes them.
+    assert tree._path_matrix(runs) == matrix_by_runs(runs)
+
+
+def test_path_matrix_spans_many_leaves():
+    assert tree._path_matrix(()) == (1, 0, 0, 1)
+    for shape in ("mixed", "bheavy", "astro"):
+        runs = drawn_code(3, shape, 8000).runs
+        m = tree._path_matrix(runs)
+        assert m == matrix_by_runs(runs)
+        assert max(abs(entry) for entry in m) > tree._LEAF_MAX**8
+        assert any(letter == "C" for letter, _ in runs)
+    runs = (("C", 10**30), ("A", 2)) * 20
+    assert tree._path_matrix(runs) == matrix_by_runs(runs)
+    assert min(tree._path_matrix(runs)) < 0  # a C run leaves negative entries
+
+
+def test_locate_returns_maximal_runs_on_both_sides_of_the_chunk_size(chunks):
+    for bits in (tree._CHUNK_FROM_BITS // 2, 4 * tree._CHUNK_FROM_BITS):
+        for shape in ("mixed", "bheavy", "astro"):
+            code = drawn_code(bits, shape, bits)
+            f = apply_path(ROOT_GENERATOR, code)
+            assert (f.denominator.bit_length() > tree._CHUNK_FROM_BITS) == (bits > tree._CHUNK_FROM_BITS)
+            back = locate(f)
+            assert_maximal(back)
+            assert back == code
+    assert any(accepted for _, accepted in chunks)
+
+
+def test_long_b_heavy_code_regresses_in_accepted_chunks(chunks, same_fraction):
     code = drawn_code(2024, "bheavy", 130_000)
     assert sum(count for letter, count in code.runs if letter == "B") >= 10**5
-    assert_navigation_matches_oracles(code)
+    assert_navigation_matches_oracles(code, same_fraction)
     # Every chunk that took runs was the true top of the path, and each took off
     # hundreds of bits: far fewer chunks than the code's 10^5 letters.
     assert chunks and all(accepted for taken, accepted in chunks if taken)
     assert len(chunks) < 500
 
 
-def test_generators_straddling_a_letter_boundary(chunks):
+def test_generators_straddling_a_letter_boundary(chunks, same_fraction):
     # A huge run sends the pair within 2^-far of 0 or 1, and one more letter puts
     # it next to 1/3 (A or B after C^k) or 1/2 (B or C after A^k).  Past the
     # chunk's top bits the truncated pair cannot tell the sides apart.
@@ -469,20 +567,20 @@ def test_generators_straddling_a_letter_boundary(chunks):
             f = apply_path(ROOT_GENERATOR, code)
             boundary = Fraction(1, 3) if run == "C" else Fraction(1, 2)
             assert abs(f - boundary) < Fraction(1, 2 ** (far - 4))
-            assert_navigation_matches_oracles(code)
+            assert_navigation_matches_oracles(code, same_fraction)
             assert not all(accepted for _, accepted in chunks)
             rejected += sum(1 for taken, accepted in chunks if taken and not accepted)
     # Some truncated guesses took a wrong letter; only the in-domain test caught them.
     assert rejected > 0
 
 
-def test_zero_count_run_in_the_top_bits(chunks):
+def test_zero_count_run_in_the_top_bits(chunks, same_fraction):
     # q/p = 1/2 + 2^-1100 or so: the small pair has p = 2q exactly, a C run of length 0.
     code = drawn_code(7, "mixed", 8000) + PathCode((("A", 2**1100), ("C", 1)))
     f = apply_path(ROOT_GENERATOR, code)
     shift = f.denominator.bit_length() - tree._TOP_BITS
     assert f.denominator >> shift == 2 * (f.numerator >> shift)
-    assert_navigation_matches_oracles(code)
+    assert_navigation_matches_oracles(code, same_fraction)
     assert chunks[0] == (0, False)
 
 
@@ -740,6 +838,13 @@ def test_fermat_identities_at_large_index():
     assert family_generator(fam) == Fraction(pair.p, pair.p + pair.q)
     code = derivative_location(fam, DerivativeKind.MINOR)
     assert apply_path(ROOT_GENERATOR, code) == derive_generator(family_generator(fam), DerivativeKind.MINOR)
+
+
+def test_closed_forms_are_maximal_runs():
+    for line in FamilyLine:
+        for kind in DerivativeKind:
+            for n in list(range(2 if line is FamilyLine.PLATONIC else 1, 40)) + [10**4 + 1]:
+                assert_maximal(derivative_location(Family(line, n), kind))
 
 
 def test_degenerate_indices():
