@@ -336,12 +336,8 @@ def _add_triple_args(p: argparse.ArgumentParser) -> None:
 
 def _add_kind_flags(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument(
-        "--major", dest="kind", action="store_const", const=DerivativeKind.MAJOR
-    )
-    group.add_argument(
-        "--minor", dest="kind", action="store_const", const=DerivativeKind.MINOR
-    )
+    for kind in DerivativeKind:
+        group.add_argument(f"--{kind}", dest="kind", action="store_const", const=kind)
 
 
 def _build_parser() -> argparse.ArgumentParser:

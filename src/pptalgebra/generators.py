@@ -44,6 +44,14 @@ def _proper_pair(f: Fraction) -> tuple[int, int]:
     return f.numerator, f.denominator
 
 
+def _primary_pair(f: Fraction) -> tuple[int, int]:
+    # The (q, p) of a primary generator: a proper fraction with an odd q + p.
+    q, p = _proper_pair(f)
+    if (q + p) % 2 == 0:
+        raise WrongParity(f"{_shown(f, 'fraction')} has even numerator+denominator sum; it is a secondary generator")
+    return q, p
+
+
 def require_proper(f: Fraction) -> Fraction:
     _proper_pair(f)
     return f
@@ -91,13 +99,15 @@ class KeySequence:
             return
         raise ValueError(problem.format(f"[{','.join(_shown(v, 'integer') for v in entries)}]"))
 
+    # gcd(q1, p1) = gcd(q1, q2) = 1, and gcd(q2, p2) = gcd(q2, 2*q1) = 1 as q2 is odd.
+    # int() gives a bool or int-subclass entry as the plain int Fraction would hold.
     @property
     def primary(self) -> Fraction:
-        return Fraction(self.q1, self.p1)
+        return _proven_fraction(int(self.q1), int(self.p1))
 
     @property
     def secondary(self) -> Fraction:
-        return Fraction(self.q2, self.p2)
+        return _proven_fraction(int(self.q2), int(self.p2))
 
     def __str__(self) -> str:
         return f"[{self.q2},{self.q1},{self.p1},{self.p2}]"
@@ -173,10 +183,7 @@ def triple_from_key(k: KeySequence) -> PPT:
 
 def triple_from_primary(f: Fraction) -> PPT:
     """The triple (p^2 - q^2, 2pq, p^2 + q^2) generated by a primary fraction q/p."""
-    q, p = _proper_pair(f)
-    if (q + p) % 2 == 0:
-        raise WrongParity(f"{_shown(f, 'fraction')} has even numerator+denominator sum; it is a secondary generator")
-    return _primary_triple(q, p)
+    return _primary_triple(*_primary_pair(f))
 
 
 def _primary_triple(q: int, p: int) -> PPT:

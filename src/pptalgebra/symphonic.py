@@ -7,7 +7,7 @@ from enum import Enum
 from fractions import Fraction
 from numbers import Rational
 
-from .triple_core import PPT, TClass, _assign, _proven_ppt, _record, _shown, classify
+from .triple_core import PPT, TClass, _assign, _proven, _proven_ppt, _record, _shown, classify
 from .generators import _generator_pair, _generators, _primary_triple
 
 __all__ = [
@@ -25,6 +25,10 @@ class DerivativeKind(Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+# Plain names read faster than DerivativeKind.MAJOR, on the sweep's path through is_derivative.
+_MAJOR, _MINOR = DerivativeKind
 
 
 @_record
@@ -192,8 +196,10 @@ def _derivative_pair(q: int, p: int, kind: DerivativeKind) -> tuple[int, int]:
     # q(p-q)/(p(p+q)) (major) or p(p-q), q(p+q) smaller first (minor): 2PQ = ab and
     # P^2 + Q^2 = c^2 +- ab.  p +- q is odd and prime to p and q, so Q and P are
     # coprime and of opposite parity, and _primary_triple need not check them.
-    if kind is DerivativeKind.MAJOR:
+    if kind is _MAJOR:
         return q * (p - q), p * (p + q)
+    if kind is not _MINOR:
+        raise TypeError(f"expected a DerivativeKind, got {_shown(kind, 'integer', repr)}")
     x, y = p * (p - q), q * (p + q)
     return min(x, y), max(x, y)
 
@@ -213,24 +219,18 @@ def corollary_generators(t: PPT, kind: DerivativeKind) -> tuple[Fraction, Fracti
     return _generators(*_derivative_pair(*_generator_pair(t), kind))
 
 
-def _proven_surd(u: int, d: int, v: int, sign: int) -> QuadraticSurd:
-    # A QuadraticSurd without normalising, for fields a caller has proven normal;
-    # like _proven_ppt, it sets the fields in declaration order.
-    s = object.__new__(QuadraticSurd)
-    object.__setattr__(s, "u", u)
-    object.__setattr__(s, "d", d)
-    object.__setattr__(s, "v", v)
-    object.__setattr__(s, "sign", sign)
-    return s
-
-
 def _discriminant(t: PPT, kind: DerivativeKind) -> tuple[int, int | None]:
     # (disc, m): the preimage legs are (u +- sqrt(disc))/2 up to sign, and m = isqrt(disc)
     # when disc is a square, else None.  With Q/P the primary generator,
     # t = (P^2 - Q^2, 2PQ, P^2 + Q^2), u = P +- Q and disc = u^2 -+ 8PQ.  Since
     # (P +- Q)^2 = c +- b and 8PQ = 4b, disc = c -+ 3b, read off the sides with no pair.
     # c is odd and b even, so disc is odd: never 0, and so never 0^2.
-    disc = t.c - 3 * t.b if kind is DerivativeKind.MAJOR else t.c + 3 * t.b
+    if kind is _MAJOR:
+        disc = t.c - 3 * t.b
+    elif kind is _MINOR:
+        disc = t.c + 3 * t.b
+    else:
+        raise TypeError(f"expected a DerivativeKind, got {_shown(kind, 'integer', repr)}")
     m = math.isqrt(disc) if disc > 0 else 0
     return disc, m if m * m == disc else None
 
@@ -245,7 +245,7 @@ def _preimage(t: PPT, kind: DerivativeKind, m: int | None) -> tuple[int, int, PP
     # Two odd squares sum to 2 mod 4, so exactly one leg is odd; it goes first.  Their
     # derivative is (P^2 - Q^2, 2PQ, P^2 + Q^2) = t, so nothing is re-checked here.
     q, p = _generator_pair(t)
-    sign = 1 if kind is DerivativeKind.MAJOR else -1
+    sign = 1 if kind is _MAJOR else -1
     u, hyp = p + sign * q, p - sign * q
     if m is None:
         return u, hyp, None
@@ -270,9 +270,9 @@ def anti_derivative(t: PPT, kind: DerivativeKind) -> AntiDerivative:
     # A square disc = m^2, the case with an integral preimage, collapses to the integers
     # (u +- m)/2 over 1 as the public constructor does; disc is odd, so u +- m is even.
     if integral is not None:
-        roots = (_proven_surd((u + m) // 2, 0, 1, 1), _proven_surd((u - m) // 2, 0, 1, 1))
+        roots = (_proven(QuadraticSurd, (u + m) // 2, 0, 1, 1), _proven(QuadraticSurd, (u - m) // 2, 0, 1, 1))
     else:
-        roots = (_proven_surd(u, disc, 2, 1), _proven_surd(u, disc, 2, -1))
+        roots = (_proven(QuadraticSurd, u, disc, 2, 1), _proven(QuadraticSurd, u, disc, 2, -1))
     return AntiDerivative(kind, roots, hyp, integral)
 
 

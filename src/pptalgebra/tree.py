@@ -15,9 +15,9 @@ from collections.abc import Iterable, Iterator
 from enum import Enum
 from fractions import Fraction
 
-from .triple_core import PPT, TripleError, _assign, _proven_fraction, _record, _setattr, _shown
-from .generators import _generator_pair, _primary_triple, _proper_pair, triple_from_primary
-from .symphonic import DerivativeKind, corollary_generators
+from .triple_core import PPT, TripleError, _assign, _proven, _proven_fraction, _record, _shown
+from .generators import _generator_pair, _primary_pair, _primary_triple, _proper_pair, triple_from_primary
+from .symphonic import _MAJOR, _MINOR, DerivativeKind, _derivative_pair
 
 __all__ = [
     "ROOT", "ROOT_GENERATOR", "DegenerateIndex", "Family", "FamilyLine",
@@ -55,6 +55,8 @@ ROOT = Root()
 ROOT_GENERATOR = Fraction(1, 2)
 
 _TOKEN_RE = re.compile(r"([ABC])(?:\^([0-9]+))?")
+# The longest prefix of tokens and ASCII whitespace: a path code is all prefix.
+_CODE_PREFIX_RE = re.compile(r"(?:[ \t\n\r\f\v]*[ABC](?:\^[0-9]+)?)*[ \t\n\r\f\v]*")
 
 # Longest code printed letter-by-letter; anything longer renders run-length.
 _MAX_EXPANDED_LETTERS = 10_000
@@ -86,23 +88,15 @@ class PathCode:
                 merged[-1] = (letter, merged[-1][1] + count)
             else:
                 merged.append((letter, count))
-        _setattr(self, "runs", tuple(merged))
+        _assign(self, tuple(merged))
 
     @classmethod
     def parse(cls, text: str) -> "PathCode":
         """Parse letters with optional run-length tokens, ASCII only: 'AACAA', 'C^13', 'AA C^16 B'."""
-        runs = []
-        pos, end = 0, len(text)
-        while pos < end:
-            if text[pos] in " \t\n\r\f\v":
-                pos += 1
-                continue
-            match = _TOKEN_RE.match(text, pos)
-            if match is None:
-                raise ValueError(f"invalid path code {text!r} at position {pos}")
-            runs.append((match.group(1), int(match.group(2)) if match.group(2) else 1))
-            pos = match.end()
-        return cls(tuple(runs))
+        pos = _CODE_PREFIX_RE.match(text).end()
+        if pos < len(text):
+            raise ValueError(f"invalid path code {text!r} at position {pos}")
+        return cls(tuple((letter, int(count) if count else 1) for letter, count in _TOKEN_RE.findall(text)))
 
     @property
     def length(self) -> int:
@@ -116,7 +110,7 @@ class PathCode:
         left, right = self.runs, other.runs
         if left and right and left[-1][0] == right[0][0]:
             left, right = left[:-1], ((left[-1][0], left[-1][1] + right[0][1]),) + right[1:]
-        return _path_code(left + right)
+        return _proven(PathCode, left + right)
 
     def __mul__(self, times: int) -> "PathCode":
         if not isinstance(times, int):
@@ -125,12 +119,12 @@ class PathCode:
             raise ValueError(f"cannot repeat a path code {_shown(times, 'integer')} times")
         runs = self.runs
         if times < 2 or not runs or runs[0][0] != runs[-1][0]:
-            return _path_code(runs * times)
+            return _proven(PathCode, runs * times)
         # Each copy's last run meets the next copy's first run of the same letter: one run per seam.
         if len(runs) == 1:
-            return _path_code(((runs[0][0], runs[0][1] * times),))
+            return _proven(PathCode, ((runs[0][0], runs[0][1] * times),))
         seam = ((runs[0][0], runs[-1][1] + runs[0][1]),)
-        return _path_code(runs[:-1] + (seam + runs[1:-1]) * (times - 1) + runs[-1:])
+        return _proven(PathCode, runs[:-1] + (seam + runs[1:-1]) * (times - 1) + runs[-1:])
 
     def letters(self) -> str:
         """The fully expanded word; refuses codes too long to materialize."""
@@ -148,14 +142,6 @@ class PathCode:
         if self.length <= _MAX_EXPANDED_LETTERS:
             return self.letters()
         return self.compact()
-
-
-def _path_code(runs: tuple[tuple[str, int], ...]) -> PathCode:
-    # A PathCode without the checks, for runs a caller has proven maximal: letters A, B
-    # or C, integer counts >= 1, no two adjacent runs of one letter.
-    code = object.__new__(PathCode)
-    _setattr(code, "runs", runs)
-    return code
 
 
 def step(f: Fraction, letter: str) -> Fraction:
@@ -264,7 +250,7 @@ def locate(f: Fraction) -> PathCode:
     q, p = _regress(q, p, runs)
     if p != 2:
         raise NotInPrimaryTree(f"{_shown(f, 'generator')} regresses to 1/3; it generates no triple")
-    return _path_code(tuple(reversed(runs)))
+    return _proven(PathCode, tuple(reversed(runs)))
 
 
 def _mat_mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, int, int, int]:
@@ -391,7 +377,7 @@ def iter_by_hypotenuse(bound: int) -> Iterator[PPT]:
 
 def derive_generator(f: Fraction, kind: DerivativeKind) -> Fraction:
     """Primary generator of the major/minor derivative of the triple f generates."""
-    return corollary_generators(triple_from_primary(f), kind)[0]
+    return _proven_fraction(*_derivative_pair(*_primary_pair(f), kind))
 
 
 @_record
@@ -448,6 +434,8 @@ class Family:
 
     def __init__(self, line: FamilyLine, index: int) -> None:
         _assign(self, line, index)
+        if not isinstance(line, FamilyLine):
+            raise TypeError(f"expected a FamilyLine, got {_shown(line, 'integer', repr)}")
         if index < 1:
             raise ValueError(f"family index must be positive, got {_shown(index, 'integer')}")
 
@@ -479,13 +467,15 @@ def derivative_location(fam: Family, kind: DerivativeKind) -> PathCode:
     where a run length would go negative raise DegenerateIndex instead of
     guessing.
     """
+    if kind is not _MAJOR and kind is not _MINOR:
+        raise TypeError(f"expected a DerivativeKind, got {_shown(kind, 'integer', repr)}")
     n = fam.index
     if fam.line is FamilyLine.PYTHAGOREAN:
-        if kind is DerivativeKind.MAJOR:
+        if kind is _MAJOR:
             return PathCode((("C", n - 1), ("A", n + 1)))
         return PathCode((("C", n), ("A", n - 1)))
     if fam.line is FamilyLine.FERMAT:
-        if kind is DerivativeKind.MAJOR:
+        if kind is _MAJOR:
             return PathCode((("A", 2),)) + PathCode((("C", 1), ("A", 2))) * (n - 1)
         k = (pell(2 * n + 1).p - 1) // 2
         return PathCode((("C", k - 1),))
@@ -494,7 +484,7 @@ def derivative_location(fam: Family, kind: DerivativeKind) -> PathCode:
             f"no closed form for the first Platonic member's {kind} derivative"
         )
     half = n // 2
-    if kind is DerivativeKind.MAJOR:
+    if kind is _MAJOR:
         lead = "C" if n % 2 == 0 else "B"
         return PathCode(((lead, 1), ("A", half - 1), ("B", 1), ("A", n)))
     if n % 2 == 0:

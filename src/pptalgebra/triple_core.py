@@ -109,9 +109,7 @@ class PPT:
     c: int
 
     def __init__(self, a: int, b: int, c: int) -> None:
-        _setattr(self, "a", a)  # _assign unrolled: its loop costs about as much as the checks
-        _setattr(self, "b", b)
-        _setattr(self, "c", c)
+        _assign(self, a, b, c)
         for side in (a, b, c):
             if not isinstance(side, int) or side <= 0:
                 raise TripleError(f"sides must be positive integers, got {_shown(side, 'integer', repr)}")
@@ -144,13 +142,19 @@ class DivisibilityWitness:
         _assign(self, four_divides_b, three_divides, five_divides)
 
 
+def _proven(cls: type, *values: object):
+    # A record without its constructor's checks, for field values a caller has proven valid.
+    record = object.__new__(cls)
+    _assign(record, *values)
+    return record
+
+
 def _proven_ppt(a: int, b: int, c: int) -> PPT:
-    # A PPT without the checks, for sides a caller has proven canonical and primitive.
-    # Setting the fields in declaration order keeps CPython's key-sharing instance dicts.
+    # _proven(PPT, a, b, c) unrolled, in declaration order: sweep and level build one per triple.
     t = object.__new__(PPT)
-    object.__setattr__(t, "a", a)
-    object.__setattr__(t, "b", b)
-    object.__setattr__(t, "c", c)
+    _setattr(t, "a", a)
+    _setattr(t, "b", b)
+    _setattr(t, "c", c)
     return t
 
 

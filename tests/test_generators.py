@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from pptalgebra import (
     ROOT_GENERATOR,
+    DerivativeKind,
     KeySequence,
     PathCode,
     Radii,
     WrongParity,
     apply_path,
+    derive_generator,
     format_fraction,
     generators_of,
     key_sequence_from_fraction,
@@ -194,6 +196,7 @@ def test_proper_fraction_guards():
 
 GENERATOR_READERS = {
     "apply_path": lambda f: apply_path(f, PathCode.parse("A")),
+    "derive_generator": lambda f: derive_generator(f, DerivativeKind.MAJOR),
     "key_sequence_from_fraction": key_sequence_from_fraction,
     "locate": locate,
     "parent": parent,

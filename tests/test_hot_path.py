@@ -14,17 +14,22 @@ from pptalgebra import (
     DerivativeKind,
     Family,
     FamilyLine,
+    KeySequence,
+    PathCode,
     QuadraticSurd,
     anti_derivative,
     children,
     corollary_generators,
     derivative,
+    derive_generator,
     enumerate_level,
+    family_generator,
     family_member,
     generators_of,
     is_derivative,
     iter_by_hypotenuse,
     key_sequence_of,
+    locate,
     make_ppt,
     triple_from_key,
     triple_from_primary,
@@ -32,7 +37,7 @@ from pptalgebra import (
 )
 from pptalgebra import symphonic
 from pptalgebra.generators import _generator_pair
-from pptalgebra.triple_core import _proven_fraction
+from pptalgebra.triple_core import _proven, _proven_fraction
 
 
 @st.composite
@@ -142,13 +147,24 @@ def test_key_and_secondary_triples_match_formulas_on_big_triples(big_triples):
         _assert_key_and_secondary_triples_match_formulas(t)
 
 
-def _assert_same_as_checked(t):
-    checked = PPT(*t.sides())
-    assert type(t) is PPT
-    assert t == checked
-    assert hash(t) == hash(checked)
+def _assert_same_as_checked(built):
+    # A record built without its constructor's checks is the one the checked constructor
+    # builds from the same fields, down to its repr and the size of its instance dict.
+    cls = type(built)
+    fields = tuple(getattr(built, name) for name in cls.__match_args__)
+    checked = cls(*fields)
+    assert tuple(getattr(checked, name) for name in cls.__match_args__) == fields
+    assert list(vars(built)) == list(vars(checked)) == list(cls.__match_args__)
+    assert built == checked and hash(built) == hash(checked)
+    assert sys.getsizeof(vars(built)) == sys.getsizeof(vars(checked))
     with pytest.raises(FrozenInstanceError):
-        t.a = checked.a
+        setattr(built, cls.__match_args__[0], fields[0])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert repr(built) == repr(checked)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_proven_triples_equal_checked_ones():
@@ -168,6 +184,7 @@ def test_proven_triples_equal_checked_ones():
                 built.append(anti_derivative(t, kind).integral)
     assert hits > 0
     for t in built:
+        assert type(t) is PPT
         _assert_same_as_checked(t)
 
 
@@ -255,10 +272,71 @@ def test_proven_fraction_takes_the_interpreter_branch():
 
 
 def test_generators_are_proven_fractions(same_fraction, big_triples):
-    for t in list(iter_by_hypotenuse(5000)) + big_triples:
+    for t in list(iter_by_hypotenuse(10**4)) + big_triples:
         a, b, c = t.sides()
         for got, want in zip(generators_of(t), (Fraction(b, c + a), Fraction(a, c + b))):
             same_fraction(got, want)
+        k = key_sequence_of(t)
+        same_fraction(k.primary, Fraction(k.q1, k.p1))
+        same_fraction(k.secondary, Fraction(k.q2, k.p2))
         for kind in DerivativeKind:
             for got, want in zip(corollary_generators(t, kind), corollary_formula(t, kind)):
                 same_fraction(got, want)
+
+
+def test_key_sequence_generators_hold_plain_ints(same_fraction):
+    # A key of bool entries passes the checks; its generators hold plain ints, as Fraction's would.
+    k = KeySequence(True, True, 2, 3)
+    same_fraction(k.primary, Fraction(1, 2))
+    same_fraction(k.secondary, Fraction(1, 3))
+
+
+def test_proven_records_equal_checked_ones(big_triples):
+    built = [
+        _proven(PathCode, ()),
+        _proven(PathCode, (("A", 2), ("C", 3))),
+        _proven(PathCode, (("B", 10**5000),)),
+        _proven(QuadraticSurd, 5, -7, 2, -1),
+        _proven(QuadraticSurd, 4, 0, 1, 1),
+    ]
+    for t in list(iter_by_hypotenuse(2000)) + big_triples:
+        code = locate(generators_of(t)[0])
+        built += [code, code + code, code * 3, *anti_derivative(t, DerivativeKind.MAJOR).roots]
+        built += anti_derivative(derivative(t, DerivativeKind.MINOR), DerivativeKind.MINOR).roots
+    for record in built:
+        assert type(record) in (PathCode, QuadraticSurd)
+        _assert_same_as_checked(record)
+
+
+def derive_generator_by_triple(f: Fraction, kind: DerivativeKind) -> Fraction:
+    """The route through the member triple and an isqrt of it; the oracle for derive_generator()."""
+    return corollary_generators(triple_from_primary(f), kind)[0]
+
+
+@given(primary_pair())
+def test_derive_generator_takes_the_triple_route_on_drawn_generators(same_fraction, pair):
+    for kind in DerivativeKind:
+        same_fraction(derive_generator(Fraction(*pair), kind), derive_generator_by_triple(Fraction(*pair), kind))
+
+
+def test_derive_generator_takes_the_triple_route_on_fermat_generators(same_fraction):
+    for n in list(range(1, 40)) + [100, 1000, 10**4]:
+        f = family_generator(Family(FamilyLine.FERMAT, n))
+        for kind in DerivativeKind:
+            same_fraction(derive_generator(f, kind), derive_generator_by_triple(f, kind))
+
+
+def _error(call, *args) -> tuple[type, str]:
+    with pytest.raises((TypeError, ValueError)) as caught:
+        call(*args)
+    return caught.type, str(caught.value)
+
+
+def test_derive_generator_errors_match_the_triple_route():
+    bad = [
+        Fraction(1, 3), Fraction(3, 2), Fraction(0), Fraction(-1, 2), Fraction(1, 10**5000 + 1),
+        Fraction(10**5000 + 1, 10**5000), 0.5, "1/2", None,
+    ]
+    for f in bad:
+        for kind in DerivativeKind:
+            assert _error(derive_generator, f, kind) == _error(derive_generator_by_triple, f, kind)

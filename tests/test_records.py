@@ -184,6 +184,8 @@ class Family:
     index: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.line, pa.FamilyLine):
+            raise TypeError(f"expected a FamilyLine, got {_shown(self.line, 'integer', repr)}")
         if self.index < 1:
             raise ValueError(f"family index must be positive, got {_shown(self.index, 'integer')}")
 
@@ -231,7 +233,7 @@ CASES = {
     PellPair: [(1, 1, 1), (3, 5, 7), (40, 10**15, 10**15 + 1)],
     Family: [
         (pa.FamilyLine.FERMAT, 3), (pa.FamilyLine.PLATONIC, 1), (pa.FamilyLine.PLATONIC, 0),
-        (pa.FamilyLine.PYTHAGOREAN, -_BIG),
+        (pa.FamilyLine.PYTHAGOREAN, -_BIG), ("fermat", 3), (None, 0), (_BIG, 1),
     ],
 }
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,14 +21,18 @@ from pptalgebra import (
     PathCode,
     Root,
     SecondaryRoot,
+    anti_derivative,
     apply_path,
     children,
+    corollary_generators,
+    derivative,
     derivative_location,
     derive_generator,
     enumerate_level,
     family_generator,
     family_member,
     generators_of,
+    is_derivative,
     iter_by_hypotenuse,
     locate,
     major_derivative,
@@ -253,6 +258,25 @@ def derive_generator_formula(f: Fraction, kind: DerivativeKind) -> Fraction:
     return Fraction(min(numerator, denominator), max(numerator, denominator))
 
 
+_LOOP_TOKEN_RE = re.compile(r"([ABC])(?:\^([0-9]+))?")
+
+
+def parse_loop(text: str) -> PathCode:
+    """The scanner loop PathCode.parse once ran; the oracle for parse()."""
+    runs = []
+    pos, end = 0, len(text)
+    while pos < end:
+        if text[pos] in " \t\n\r\f\v":
+            pos += 1
+            continue
+        match = _LOOP_TOKEN_RE.match(text, pos)
+        if match is None:
+            raise ValueError(f"invalid path code {text!r} at position {pos}")
+        runs.append((match.group(1), int(match.group(2)) if match.group(2) else 1))
+        pos = match.end()
+    return PathCode(tuple(runs))
+
+
 # ---------------------------------------------------------------- path codes
 
 
@@ -262,6 +286,24 @@ def test_parse_letters_and_run_length():
     assert PathCode.parse("AA C^16 B") == PathCode((("A", 2), ("C", 16), ("B", 1)))
     assert PathCode.parse("") == PathCode()
     assert PathCode.parse("  ") == PathCode()
+
+
+def _parsed(parse, text: str) -> PathCode | str:
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_parse_matches_the_scanner_loop():
+    # Random strings of tokens, stray carets and digits, ASCII and other whitespace,
+    # non-ASCII digits and other letters: the same code or the same error position.
+    pieces = ["A", "B", "C", "^", "^1", "^07", "^23", "9", " ", "\t", "\n", "\r\f\v", "\u3000", "\u00a0",
+              "\u0663", "\uff13", "a", "D", "-"]
+    rng = random.Random(20013)
+    texts = ["".join(rng.choices(pieces, k=rng.randrange(9))) for _ in range(20_000)]
+    for text in texts + ["", " A^2 ", "A^2A^3", "A^0 B", "A B^12 C^0"]:
+        assert _parsed(PathCode.parse, text) == _parsed(parse_loop, text), text
 
 
 def test_adjacent_runs_merge():
@@ -845,6 +887,23 @@ def test_closed_forms_are_maximal_runs():
         for kind in DerivativeKind:
             for n in list(range(2 if line is FamilyLine.PLATONIC else 1, 40)) + [10**4 + 1]:
                 assert_maximal(derivative_location(Family(line, n), kind))
+
+
+def test_kinds_and_lines_of_the_wrong_type_raise_type_error():
+    t, fam = make_ppt(3, 4, 5), Family(FamilyLine.FERMAT, 3)
+    calls = [
+        (derivative, t), (corollary_generators, t), (anti_derivative, t), (is_derivative, t),
+        (derive_generator, Fraction(1, 2)), (derivative_location, fam),
+    ]
+    for bad in ("major", None, 1):
+        for call, arg in calls:
+            with pytest.raises(TypeError, match=f"^expected a DerivativeKind, got {re.escape(repr(bad))}$"):
+                call(arg, bad)
+    for bad in ("fermat", None, 1):
+        with pytest.raises(TypeError, match=f"^expected a FamilyLine, got {re.escape(repr(bad))}$"):
+            Family(bad, 3)
+    for kind in DerivativeKind:
+        assert derivative_location(fam, kind) == locate(derive_generator(family_generator(fam), kind))
 
 
 def test_degenerate_indices():
