@@ -1,10 +1,10 @@
 """Command-line front end: inspect triples, walk the tree, take derivatives.
 
-Every verb takes --json to emit a single JSON object instead of text.  JSON
-values are decimal strings (sides routinely exceed 64 bits), fractions are
-"q/p", and path codes use the same letters/run-length format parse() accepts,
-so output round-trips losslessly.  The text output is rendered from that same
-payload, one "field: value" line per field after an optional heading.
+Every verb takes --json to emit a single JSON object instead of text.  A verb's
+payload holds library values, and --json converts them once, in _wire: values are
+decimal strings (sides routinely exceed 64 bits), fractions are "q/p", and path codes
+use the same letters/run-length format parse() accepts, so output round-trips
+losslessly.  The text output renders the same values through _text.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable
+from itertools import accumulate, chain
 
 from .triple_core import (
     PPT,
@@ -21,7 +23,6 @@ from .triple_core import (
     make_ppt,
 )
 from .generators import (
-    format_fraction,
     generators_of,
     key_sequence_of,
     parse_fraction,
@@ -33,7 +34,6 @@ from .tree import (
     FamilyLine,
     PathCode,
     ROOT_GENERATOR,
-    Root,
     apply_path,
     children,
     derivative_location,
@@ -41,7 +41,7 @@ from .tree import (
     enumerate_level,
     family_generator,
     locate,
-    parent,
+    step,
 )
 from .symphonic import (
     DerivativeKind,
@@ -56,28 +56,31 @@ from .symphonic import (
 
 _FERMAT_SIDES = (4565486027761, 1061652293520, 4687298610289)
 
-# Display grouping of the 41-letter path to Fermat's triple.  The split is
-# cosmetic; fermat_demo() rebuilds the letters from its regression and fails
-# loudly if the grouped lengths ever stop matching them.
+# Display grouping of the 41-letter path to Fermat's triple.  The split is cosmetic;
+# fermat_demo() fails loudly if the blocks ever stop making up the located letters.
 _FERMAT_BLOCK_LENGTHS = (5, 9, 4, 16, 4, 3)
 
 
-def _triple_dict(t: PPT | None) -> dict[str, str] | None:
-    return None if t is None else {"a": str(t.a), "b": str(t.b), "c": str(t.c)}
+def _wire(value):
+    """JSON form of a payload value: a triple as {"a", "b", "c"}, a list, tuple or dict
+    member by member, None and strings as they are, anything else as its str()."""
+    if isinstance(value, PPT):
+        return {"a": str(value.a), "b": str(value.b), "c": str(value.c)}
+    if isinstance(value, dict):
+        return {key: _wire(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_wire(v) for v in value]
+    return value if value is None or isinstance(value, str) else str(value)
 
 
 def _text(value) -> str:
-    """Text form of a payload value: a triple as [a, b, c], any other dict as
-    k=v pairs, a list joined by commas, None as "none", "" (the root) as "(root)"."""
+    """Text form of a payload value: a dict as k=v pairs, a list or tuple joined by commas, None
+    as "none", the empty path as "(root)", anything else (a triple as [a, b, c]) as its str()."""
     if isinstance(value, dict):
-        if list(value) == ["a", "b", "c"]:
-            return f"[{', '.join(value.values())}]"
-        return " ".join(f"{k}={v}" for k, v in value.items())
-    if isinstance(value, list):
+        return " ".join(f"{k}={_text(v)}" for k, v in value.items())
+    if isinstance(value, (list, tuple)):
         return ", ".join(map(_text, value))
-    if value is None:
-        return "none"
-    return value or "(root)"
+    return "none" if value is None else str(value) or "(root)"
 
 
 def _lines(payload: dict, *keys: str) -> list[str]:
@@ -86,56 +89,52 @@ def _lines(payload: dict, *keys: str) -> list[str]:
 
 
 def _cmd_info(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    t = make_ppt(*args.sides)
-    t1, t2 = generators_of(t)
-    key = key_sequence_of(t)
+    key = key_sequence_of(args.triple)
     r = radii(key)
-    sq = inscribed_squares(t)
-    code = locate(t1)
+    sq = inscribed_squares(args.triple)
+    code = locate(key.primary)
     payload = {
-        "triple": _triple_dict(t),
-        "primary_generator": format_fraction(t1),
-        "secondary_generator": format_fraction(t2),
-        "key_sequence": str(key),
-        "radii": {"r1": str(r.r1), "r2": str(r.r2), "r3": str(r.r3), "r4": str(r.r4)},
-        "class": str(classify(t)),
-        "harmonic_square": str(sq.h),
-        "symphonic_square": str(sq.s),
-        "altitude": str(altitude_kappa(t)),
-        "path": str(code),
-        "depth": str(code.length),
+        "triple": args.triple,
+        "primary_generator": key.primary,
+        "secondary_generator": key.secondary,
+        "key_sequence": key,
+        "radii": {"r1": r.r1, "r2": r.r2, "r3": r.r3, "r4": r.r4},
+        "class": classify(args.triple),
+        "harmonic_square": sq.h,
+        "symphonic_square": sq.s,
+        "altitude": altitude_kappa(args.triple),
+        "path": code,
+        "depth": code.length,
     }
     return payload, _lines(payload)
 
 
 def _cmd_derive(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    t = make_ppt(*args.sides)
-    d = derivative(t, args.kind)
+    d = derivative(args.triple, args.kind)
     d1, d2 = generators_of(d)
     payload = {
-        "kind": args.kind.value,
-        "triple": _triple_dict(t),
-        "derivative": _triple_dict(d),
-        "primary_generator": format_fraction(d1),
-        "secondary_generator": format_fraction(d2),
-        "class": str(classify(d)),
-        "path": str(locate(d1)),
+        "kind": args.kind,
+        "triple": args.triple,
+        "derivative": d,
+        "primary_generator": d1,
+        "secondary_generator": d2,
+        "class": classify(d),
+        "path": locate(d1),
     }
-    heading = f"{_text(payload['triple'])} --{payload['kind']}--> {_text(payload['derivative'])}"
+    heading = f"{_text(args.triple)} --{_text(args.kind)}--> {_text(d)}"
     return payload, [heading, *_lines(payload, "primary_generator", "secondary_generator", "class", "path")]
 
 
 def _cmd_antiderive(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    t = make_ppt(*args.sides)
-    anti = anti_derivative(t, args.kind)
+    anti = anti_derivative(args.triple, args.kind)
     payload = {
-        "kind": args.kind.value,
-        "triple": _triple_dict(t),
-        "roots": [str(anti.roots[0]), str(anti.roots[1])],
-        "hypotenuse": str(anti.hypotenuse),
-        "integral": _triple_dict(anti.integral),
+        "kind": args.kind,
+        "triple": args.triple,
+        "roots": anti.roots,
+        "hypotenuse": anti.hypotenuse,
+        "integral": anti.integral,
     }
-    heading = f"anti-derivative ({payload['kind']}) of {_text(payload['triple'])}"
+    heading = f"anti-derivative ({_text(args.kind)}) of {_text(args.triple)}"
     return payload, [heading, *_lines(payload, "roots", "hypotenuse", "integral")]
 
 
@@ -144,15 +143,14 @@ def _cmd_locate(args: argparse.Namespace) -> tuple[dict, list[str]]:
     if len(args.target) == 1:
         f = parse_fraction(args.target[0])
     elif len(args.target) == 3:
-        t = make_ppt(*(int(side) for side in args.target))
-        payload["triple"] = _triple_dict(t)
+        t = payload["triple"] = make_ppt(*(int(side) for side in args.target))
         f = generators_of(t)[0]
     else:
         raise ValueError("locate takes a fraction q/p or three sides")
     code = locate(f)
-    payload["generator"] = format_fraction(f)
-    payload["path"] = str(code)
-    payload["length"] = str(code.length)
+    payload["generator"] = f
+    payload["path"] = code
+    payload["length"] = code.length
     payload["runs"] = code.compact()
     return payload, _lines(payload)
 
@@ -161,29 +159,28 @@ def _cmd_path(args: argparse.Namespace) -> tuple[dict, list[str]]:
     code = PathCode.parse(args.code)
     f = apply_path(ROOT_GENERATOR, code)
     payload = {
-        "path": str(code),
-        "length": str(code.length),
-        "generator": format_fraction(f),
-        "triple": _triple_dict(triple_from_primary(f)),
+        "path": code,
+        "length": code.length,
+        "generator": f,
+        "triple": triple_from_primary(f),
     }
     return payload, _lines(payload)
 
 
 def _cmd_children(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    t = make_ppt(*args.sides)
-    left, middle, right = children(t)
+    left, middle, right = children(args.triple)
     payload = {
-        "triple": _triple_dict(t),
-        "left": _triple_dict(left),
-        "middle": _triple_dict(middle),
-        "right": _triple_dict(right),
+        "triple": args.triple,
+        "left": left,
+        "middle": middle,
+        "right": right,
     }
-    lines = [f"children of {_text(payload['triple'])}"]
+    lines = [f"children of {_text(args.triple)}"]
     lines.extend(f"{key + ':':<7} {_text(payload[key])}" for key in ("left", "middle", "right"))
     return payload, lines
 
 
-def _cmd_level(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _cmd_level(args: argparse.Namespace) -> tuple[dict, Iterable[str]]:
     if args.depth > args.max_depth:
         raise ValueError(
             f"level {args.depth} exceeds the cap {args.max_depth};"
@@ -191,57 +188,50 @@ def _cmd_level(args: argparse.Namespace) -> tuple[dict, list[str]]:
         )
     triples = enumerate_level(args.depth)
     payload = {
-        "level": str(args.depth),
-        "count": str(len(triples)),
-        "triples": [_triple_dict(t) for t in triples],
+        "level": args.depth,
+        "count": len(triples),
+        "triples": triples,
     }
-    lines = [f"level {payload['level']}: {payload['count']} triples"]
-    lines.extend(f"  {_text(t)}" for t in payload["triples"])
-    return payload, lines
+    heading = f"level {_text(args.depth)}: {_text(len(triples))} triples"
+    return payload, chain([heading], (f"  {_text(t)}" for t in triples))  # lazy: --json renders none of them
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    t = make_ppt(*args.sides)
-    witness = divisibility_witness(t)
-    original, derived = factor_class_transition(t)
+    witness = divisibility_witness(args.triple)
+    original, derived = factor_class_transition(args.triple)
     payload = {
-        "triple": _triple_dict(t),
-        "class": str(original),
+        "triple": args.triple,
+        "class": original,
         "three_divides": witness.three_divides,
         "four_divides": "b",
         "five_divides": witness.five_divides,
-        "derivative_class": str(derived),
+        "derivative_class": derived,
     }
-    lines = [
-        f"{_text(payload['triple'])}: class {payload['class']}",
-        f"3 divides {payload['three_divides']}; 4 divides {payload['four_divides']};"
-        f" 5 divides {payload['five_divides']}",
-        f"derivatives land in {payload['derivative_class']}",
+    return payload, [
+        f"{_text(args.triple)}: class {_text(original)}",
+        f"3 divides {witness.three_divides}; 4 divides b; 5 divides {witness.five_divides}",
+        f"derivatives land in {_text(derived)}",
     ]
-    return payload, lines
 
 
 def _cmd_squares(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    t = make_ppt(*args.sides)
-    sq = inscribed_squares(t)
-    scale = integer_square_scale(t)
+    sq = inscribed_squares(args.triple)
+    scale = integer_square_scale(args.triple)
     payload = {
-        "triple": _triple_dict(t),
-        "harmonic_square": str(sq.h),
-        "symphonic_square": str(sq.s),
-        "reciprocal_triple": [str(x) for x in reciprocal_triple(t)],
-        "scale": str(scale.scale),
-        "scaled_triple": dict(zip("abc", (str(v) for v in scale.scaled))),
-        "scaled_harmonic": str(scale.h),
-        "scaled_symphonic": str(scale.s),
+        "triple": args.triple,
+        "harmonic_square": sq.h,
+        "symphonic_square": sq.s,
+        "reciprocal_triple": reciprocal_triple(args.triple),
+        "scale": scale.scale,
+        "scaled_triple": dict(zip("abc", scale.scaled)),
+        "scaled_harmonic": scale.h,
+        "scaled_symphonic": scale.s,
     }
-    lines = _lines(payload, "triple", "harmonic_square", "symphonic_square", "reciprocal_triple")
-    lines += [
-        f"integer scale: {payload['scale']}",
-        f"scaled: {_text(payload['scaled_triple'])}"
-        f" with h={payload['scaled_harmonic']} s={payload['scaled_symphonic']}",
+    return payload, [
+        *_lines(payload, "triple", "harmonic_square", "symphonic_square", "reciprocal_triple"),
+        f"integer scale: {_text(scale.scale)}",
+        f"scaled: [{_text(scale.scaled)}] with h={_text(scale.h)} s={_text(scale.s)}",
     ]
-    return payload, lines
 
 
 def _cmd_family(args: argparse.Namespace) -> tuple[dict, list[str]]:
@@ -249,85 +239,69 @@ def _cmd_family(args: argparse.Namespace) -> tuple[dict, list[str]]:
     gen = family_generator(fam)
     member = triple_from_primary(gen)
     payload = {
-        "family": fam.line.value,
-        "index": str(fam.index),
-        "path": str(fam.path_code),
-        "generator": format_fraction(gen),
-        "triple": _triple_dict(member),
+        "family": fam.line,
+        "index": fam.index,
+        "path": fam.path_code,
+        "generator": gen,
+        "triple": member,
     }
-    lines = [f"{payload['family']} family, member {payload['index']}"]
-    lines += _lines(payload, "path", "generator", "triple")
+    lines = [f"{_text(fam.line)} family, member {_text(fam.index)}", *_lines(payload, "path", "generator", "triple")]
     if args.derive is not None:
         kind = DerivativeKind(args.derive)
-        payload.update(
-            {
-                "derive": kind.value,
-                "derivative": _triple_dict(derivative(member, kind)),
-                "derivative_generator": format_fraction(derive_generator(gen, kind)),
-                "derivative_path": str(derivative_location(fam, kind)),
-            }
-        )
-        lines.append(f"{payload['derive']} derivative: {_text(payload['derivative'])}")
+        payload |= {
+            "derive": kind,
+            "derivative": derivative(member, kind),
+            "derivative_generator": derive_generator(gen, kind),
+            "derivative_path": derivative_location(fam, kind),
+        }
+        lines.append(f"{_text(kind)} derivative: {_text(payload['derivative'])}")
         lines += _lines(payload, "derivative_generator", "derivative_path")
     return payload, lines
 
 
-def fermat_demo() -> dict:
-    """End-to-end reproduction for the 13-digit triple Fermat found.
-
-    Validates the triple, reads off its primary generator, regresses it to
-    the root recording every intermediate fraction, reads its path off that
-    regression (41 letters, displayed in blocks of 5+9+4+16+4+3), classifies
-    it, and shows it is neither a major nor a minor derivative.
-    """
+def _cmd_fermat_demo(args: argparse.Namespace | None) -> tuple[dict, list[str]]:
     t = make_ppt(*_FERMAT_SIDES)
     f = generators_of(t)[0]
-    steps = []
-    cur = f
-    while True:
-        up = parent(cur)
-        if isinstance(up, Root):
-            break
-        cur, letter = up
-        steps.append({"letter": letter, "fraction": format_fraction(cur)})
-    letters = "".join(row["letter"] for row in reversed(steps))
-    blocks = []
-    start = 0
-    for length in _FERMAT_BLOCK_LENGTHS:
-        blocks.append(letters[start : start + length])
-        start += length
-    if start != len(letters):
+    letters = locate(f).letters()
+    # Walk the path down from the root; rows go bottom first, each letter with the generator its step leaves.
+    starts = accumulate(letters, step, initial=ROOT_GENERATOR)
+    rows = [{"letter": letter, "fraction": start} for letter, start in zip(letters, starts)][::-1]
+    blocks = [letters[end - n : end] for n, end in zip(_FERMAT_BLOCK_LENGTHS, accumulate(_FERMAT_BLOCK_LENGTHS))]
+    if "".join(blocks) != letters:
         raise AssertionError("path-code block structure out of sync with the located path")
-    return {
-        "triple": _triple_dict(t),
-        "generator": format_fraction(f),
-        "regression": steps,
+    payload = {
+        "triple": t,
+        "generator": f,
+        "regression": rows,
         "path": letters,
         "blocks": blocks,
-        "block_lengths": [str(n) for n in _FERMAT_BLOCK_LENGTHS],
-        "length": str(len(letters)),
-        "class": str(classify(t)),
-        "major_integral": _triple_dict(is_derivative(t, DerivativeKind.MAJOR)),
-        "minor_integral": _triple_dict(is_derivative(t, DerivativeKind.MINOR)),
+        "block_lengths": _FERMAT_BLOCK_LENGTHS,
+        "length": len(letters),
+        "class": classify(t),
+        "major_integral": is_derivative(t, DerivativeKind.MAJOR),
+        "minor_integral": is_derivative(t, DerivativeKind.MINOR),
     }
-
-
-def _cmd_fermat_demo(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    payload = fermat_demo()
-    grouped = " ".join(payload["blocks"])
-    sums = " + ".join(payload["block_lengths"])
-    lines = [
-        f"Fermat's triple: {_text(payload['triple'])}",
-        f"primary generator: {payload['generator']}",
-        f"regression to the root ({payload['length']} steps):",
-        *(f"  {row['letter']} {row['fraction']}" for row in payload["regression"]),
-        f"code: {payload['path']}",
-        f"path: {grouped} ({sums} = {payload['length']})",
-        f"class: {payload['class']}",
+    return payload, [
+        f"Fermat's triple: {_text(t)}",
+        f"primary generator: {_text(f)}",
+        f"regression to the root ({_text(len(letters))} steps):",
+        *(f"  {row['letter']} {_text(row['fraction'])}" for row in rows),
+        f"code: {letters}",
+        f"path: {' '.join(blocks)} ({' + '.join(map(_text, _FERMAT_BLOCK_LENGTHS))} = {_text(len(letters))})",
+        f"class: {_text(payload['class'])}",
         f"major anti-derivative: {_text(payload['major_integral'])}",
         f"minor anti-derivative: {_text(payload['minor_integral'])}",
     ]
-    return payload, lines
+
+
+def fermat_demo() -> dict:
+    """End-to-end reproduction for the 13-digit triple Fermat found, in its JSON form.
+
+    Validates the triple, locates its primary generator (41 letters, displayed in blocks
+    of 5+9+4+16+4+3), walks that path down from the root recording the generator each
+    step starts from, classifies it, and shows it is neither a major nor a minor derivative.
+    """
+    return _wire(_cmd_fermat_demo(None)[0])
 
 
 def _add_triple_args(p: argparse.ArgumentParser) -> None:
@@ -415,13 +389,15 @@ def run(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
         try:
+            if "sides" in args:
+                args.triple = make_ppt(*args.sides)
             payload, lines = args.handler(args)
         except ValueError as exc:
             print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
         if args.json:
             import json  # only here: text requests need not pay for importing it
-        print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+        print(json.dumps(_wire(payload), indent=2) if args.json else "\n".join(lines))
         return 0
     finally:
         if previous:

@@ -54,6 +54,13 @@ def _frozen(record: object, name: str, *value: object):
     raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
+def _field_repr(value: object) -> str:
+    # repr of a record field, an int past the int-to-str digit limit named by its size, in tuples too.
+    if isinstance(value, tuple):
+        return f"({', '.join(map(_field_repr, value))}{',' if len(value) == 1 else ''})"
+    return _shown(value, "integer", repr) if isinstance(value, int) else repr(value)
+
+
 def _compare(op, key):
     return lambda self, other: op(key(self), key(other)) if other.__class__ is self.__class__ else NotImplemented
 
@@ -66,8 +73,8 @@ def _record(cls: type | None = None, *, order: bool = False):
     fields = tuple(cls.__annotations__)
     get = operator.attrgetter(*fields)
     key = get if len(fields) > 1 else lambda record: (get(record),)
-    template = "{}(" + ", ".join(f"{name}={{!r}}" for name in fields) + ")"
-    cls.__repr__ = lambda self: template.format(self.__class__.__qualname__, *key(self))
+    template = "{}(" + ", ".join(f"{name}={{}}" for name in fields) + ")"
+    cls.__repr__ = lambda self: template.format(self.__class__.__qualname__, *map(_field_repr, key(self)))
     cls.__hash__ = lambda self: hash(key(self))
     cls.__setattr__ = cls.__delattr__ = _frozen
     cls.__match_args__ = fields

@@ -8,7 +8,12 @@ from fractions import Fraction
 import pytest
 
 from pptalgebra import (
+    DerivativeKind,
+    FamilyLine,
+    KeySequence,
     PathCode,
+    QuadraticSurd,
+    TClass,
     apply_path,
     generators_of,
     locate,
@@ -18,7 +23,7 @@ from pptalgebra import (
     parse_key_sequence,
     triple_from_primary,
 )
-from pptalgebra.cli import run
+from pptalgebra.cli import _text, _wire, run
 
 
 @pytest.fixture
@@ -247,6 +252,73 @@ def test_fermat_demo_text(cli):
     assert out == FERMAT_DEMO_TEXT
 
 
+# ------------------------------------------------- payload values on the wire
+
+
+def test_wire_and_text_render_every_payload_value():
+    big = 10**5000  # past the int-to-str digit limit, which run() lifts
+    payload = {
+        "triple": make_ppt(3, 4, 5),
+        "proper": Fraction(6, 35),
+        "integral": Fraction(4, 2),
+        "surd": QuadraticSurd(5, -7, 2),
+        "collapsed": QuadraticSurd(1, 4, 2),
+        "root": PathCode(),
+        "path": PathCode.parse("AA C^3"),
+        "key": KeySequence(1, 1, 2, 3),
+        "class": TClass.T4,
+        "kind": DerivativeKind.MINOR,
+        "line": FamilyLine.FERMAT,
+        "none": None,
+        "letter": "b",
+        "nested": [(1, Fraction(1, 2)), {"r1": 1, "t": [make_ppt(5, 12, 13)]}],
+        "big": big,
+    }
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        wired = _wire(payload)
+        texts = {key: _text(value) for key, value in payload.items()}
+    finally:
+        sys.set_int_max_str_digits(limit)
+    digits = "1" + "0" * 5000
+    assert wired == {
+        "triple": {"a": "3", "b": "4", "c": "5"},
+        "proper": "6/35",
+        "integral": "2",
+        "surd": "(5 + sqrt(-7))/2",
+        "collapsed": "3/2",
+        "root": "",
+        "path": "AACCC",
+        "key": "[1,1,2,3]",
+        "class": "T4",
+        "kind": "minor",
+        "line": "fermat",
+        "none": None,
+        "letter": "b",
+        "nested": [["1", "1/2"], {"r1": "1", "t": [{"a": "5", "b": "12", "c": "13"}]}],
+        "big": digits,
+    }
+    assert json.loads(json.dumps(wired)) == wired
+    assert texts == {
+        "triple": "[3, 4, 5]",
+        "proper": "6/35",
+        "integral": "2",
+        "surd": "(5 + sqrt(-7))/2",
+        "collapsed": "3/2",
+        "root": "(root)",
+        "path": "AACCC",
+        "key": "[1,1,2,3]",
+        "class": "T4",
+        "kind": "minor",
+        "line": "fermat",
+        "none": "none",
+        "letter": "b",
+        "nested": "1, 1/2, r1=1 t=[5, 12, 13]",
+        "big": digits,
+    }
+
+
 # ----------------------------------------------------------------- JSON mode
 
 
@@ -452,23 +524,23 @@ def test_text_and_json_agree(cli, argv):
 # ------------------------------------------------------------------- errors
 
 
-@pytest.mark.parametrize(
-    "argv,name",
-    [
-        (["info", "3", "4", "6"], "NotATriple"),
-        (["info", "6", "8", "10"], "NotPrimitive"),
-        (["locate", "1/3"], "NotInPrimaryTree"),
-        (["locate", "5/3"], "ValueError"),
-        (["locate", "1", "2"], "ValueError"),
-        (["path", "AD"], "ValueError"),
-        (["family", "platonic", "1", "--derive", "major"], "DegenerateIndex"),
-        (["family", "platonic", "0"], "ValueError"),
-        (["level", "13"], "ValueError"),
-        (["level", "3", "--max-depth", "2"], "ValueError"),
-        (["path", "A^\u0663"], "ValueError"),
-        (["path", "A\u3000B"], "ValueError"),
-    ],
-)
+DOMAIN_ERRORS = [
+    (["info", "3", "4", "6"], "NotATriple"),
+    (["info", "6", "8", "10"], "NotPrimitive"),
+    (["locate", "1/3"], "NotInPrimaryTree"),
+    (["locate", "5/3"], "ValueError"),
+    (["locate", "1", "2"], "ValueError"),
+    (["path", "AD"], "ValueError"),
+    (["family", "platonic", "1", "--derive", "major"], "DegenerateIndex"),
+    (["family", "platonic", "0"], "ValueError"),
+    (["level", "13"], "ValueError"),
+    (["level", "3", "--max-depth", "2"], "ValueError"),
+    (["path", "A^\u0663"], "ValueError"),
+    (["path", "A\u3000B"], "ValueError"),
+]
+
+
+@pytest.mark.parametrize("argv,name", DOMAIN_ERRORS)
 def test_domain_errors(cli, argv, name):
     code, out, err = cli(*argv)
     assert code == 1

@@ -246,12 +246,12 @@ def _build(cls, *args, **kwargs):
         return None, (type(exc), str(exc))
 
 
-def _repr(record) -> str | tuple:
-    # repr, or the error it raises: a field past the int-to-str limit cannot be printed.
+def _repr(record) -> str | None:
+    # repr, or None where it raises: the dataclass repr cannot print a field past the int-to-str limit.
     try:
         return repr(record)
-    except ValueError as exc:
-        return type(exc), str(exc)
+    except ValueError:
+        return None
 
 
 def _values(record) -> tuple:
@@ -317,10 +317,19 @@ def test_defaults_match():
     assert pa.PathCode(runs=(("A", 1),)) == pa.PathCode((("A", 1),))
 
 
+def test_repr_names_ints_past_the_digit_limit_by_size():
+    # The dataclass repr raised the interpreter's digit-limit ValueError on these three.
+    assert repr(pa.pell(20000)) == "PellPair(index=20000, p=a 25430-bit integer, q=a 25431-bit integer)"
+    assert repr(pa.PathCode((("B", _BIG),))) == "PathCode(runs=(('B', a 16610-bit integer),))"
+    big = pa.triple_from_primary(pa.apply_path(pa.ROOT_GENERATOR, pa.PathCode.parse("B^7000")))
+    assert repr(big) == "PPT(a=a 17804-bit integer, b=a 17804-bit integer, c=a 17805-bit integer)"
+
+
 def test_repr_hash_and_equality_match():
     pairs = list(_pairs())
     for old, new in pairs:
-        assert _repr(new) == _repr(old)
+        old_repr = _repr(old)
+        assert repr(new) == old_repr or old_repr is None
         assert hash(new) == hash(old) == hash(_values(new))
         twin = type(new)(*_values(old))
         assert new == twin and not new != twin
