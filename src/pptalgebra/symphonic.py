@@ -235,24 +235,6 @@ def _discriminant(t: PPT, kind: DerivativeKind) -> tuple[int, int | None]:
     return disc, m if m * m == disc else None
 
 
-def _preimage(t: PPT, kind: DerivativeKind, m: int | None) -> tuple[int, int, PPT | None]:
-    # (u, hyp, integral) for the root m that _discriminant gives, which reads disc off the
-    # sides; is_derivative reads the pair here only when disc is a square.  With Q/P the
-    # primary generator, t = (P^2 - Q^2, 2PQ, P^2 + Q^2) and u = P +- Q is odd.
-    # A square disc gives legs x, y with x + y = P + Q (major) or x - y = P - Q (minor)
-    # and xy = 2PQ, so both are positive and x^2 + y^2 = hyp^2 with hyp = P -+ Q.  A prime
-    # dividing both legs divides P + Q and P - Q, hence P and Q, so the legs are coprime.
-    # Two odd squares sum to 2 mod 4, so exactly one leg is odd; it goes first.  Their
-    # derivative is (P^2 - Q^2, 2PQ, P^2 + Q^2) = t, so nothing is re-checked here.
-    q, p = _generator_pair(t)
-    sign = 1 if kind is _MAJOR else -1
-    u, hyp = p + sign * q, p - sign * q
-    if m is None:
-        return u, hyp, None
-    x, y = (u + m) // 2, abs(u - m) // 2
-    return u, hyp, _proven_ppt(x, y, hyp) if x % 2 else _proven_ppt(y, x, hyp)
-
-
 def anti_derivative(t: PPT, kind: DerivativeKind) -> AntiDerivative:
     """Invert a derivative exactly.
 
@@ -263,23 +245,30 @@ def anti_derivative(t: PPT, kind: DerivativeKind) -> AntiDerivative:
     is set exactly when they collapse to integers, which are then the legs of
     a primitive triple whose derivative is t.
     """
+    # t = (P^2 - Q^2, 2PQ, P^2 + Q^2) and u = P +- Q is odd, so no g > 1 divides both u and 2: the roots are
+    # what QuadraticSurd(u, disc, 2, +-1) normalises to, in lowest terms.  A square disc = m^2, the case with an
+    # integral preimage, collapses them to the integers x, y = (u +- m)/2 over 1 as the public constructor does;
+    # disc is odd, so u +- m is even.  Then x + y = P + Q (major) or x - y = P - Q (minor) and xy = 2PQ, so the
+    # legs x, |y| are positive and x^2 + y^2 = hyp^2 with hyp = P -+ Q.  A prime dividing both legs divides
+    # P + Q and P - Q, hence P and Q, so the legs are coprime.  Two odd squares sum to 2 mod 4, so exactly one
+    # leg is odd; it goes first.  Their derivative is (P^2 - Q^2, 2PQ, P^2 + Q^2) = t, so nothing is re-checked.
     disc, m = _discriminant(t, kind)
-    u, hyp, integral = _preimage(t, kind, m)
-    # The roots are what QuadraticSurd(u, disc, 2, +-1) normalises to.  u = P +- Q
-    # is odd, so no g > 1 divides both u and 2 and (u, disc, 2) is in lowest terms.
-    # A square disc = m^2, the case with an integral preimage, collapses to the integers
-    # (u +- m)/2 over 1 as the public constructor does; disc is odd, so u +- m is even.
-    if integral is not None:
-        roots = (_proven(QuadraticSurd, (u + m) // 2, 0, 1, 1), _proven(QuadraticSurd, (u - m) // 2, 0, 1, 1))
-    else:
+    q, p = _generator_pair(t)
+    u, hyp = (p + q, p - q) if kind is _MAJOR else (p - q, p + q)
+    if m is None:
         roots = (_proven(QuadraticSurd, u, disc, 2, 1), _proven(QuadraticSurd, u, disc, 2, -1))
-    return AntiDerivative(kind, roots, hyp, integral)
+        return AntiDerivative(kind, roots, hyp, None)
+    x, y = (u + m) // 2, (u - m) // 2
+    roots = (_proven(QuadraticSurd, x, 0, 1, 1), _proven(QuadraticSurd, y, 0, 1, 1))
+    y = abs(y)
+    return AntiDerivative(kind, roots, hyp, _proven_ppt(x, y, hyp) if x % 2 else _proven_ppt(y, x, hyp))
 
 
 def is_derivative(t: PPT, kind: DerivativeKind) -> PPT | None:
-    """The integral anti-derivative of t under `kind`, or None when there is none."""
-    m = _discriminant(t, kind)[1]
-    return None if m is None else _preimage(t, kind, m)[2]
+    """The integral anti-derivative of t under `kind`, or None when there is none.
+
+    A miss is decided from the sides alone, reading neither the generator pair nor any surd."""
+    return None if _discriminant(t, kind)[1] is None else anti_derivative(t, kind).integral
 
 
 def factor_class_transition(t: PPT) -> tuple[TClass, TClass]:

@@ -55,10 +55,11 @@ def _frozen(record: object, name: str, *value: object):
 
 
 def _field_repr(value: object) -> str:
-    # repr of a record field, an int past the int-to-str digit limit named by its size, in tuples too.
+    # repr of a record field, an int or Fraction past the int-to-str digit limit named by its size, in tuples too.
     if isinstance(value, tuple):
         return f"({', '.join(map(_field_repr, value))}{',' if len(value) == 1 else ''})"
-    return _shown(value, "integer", repr) if isinstance(value, int) else repr(value)
+    noun = "integer" if isinstance(value, int) else "fraction" if isinstance(value, Fraction) else None
+    return _shown(value, noun, repr) if noun else repr(value)
 
 
 def _compare(op, key):

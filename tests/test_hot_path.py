@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pptalgebra import (
     PPT,
+    AntiDerivative,
     DerivativeKind,
     Family,
     FamilyLine,
@@ -37,7 +38,7 @@ from pptalgebra import (
 )
 from pptalgebra import symphonic
 from pptalgebra.generators import _generator_pair
-from pptalgebra.triple_core import _proven, _proven_fraction
+from pptalgebra.triple_core import _proven, _proven_fraction, _proven_ppt
 
 
 @st.composite
@@ -244,6 +245,56 @@ def test_misses_never_read_the_generator_pair(monkeypatch):
             else:
                 assert is_derivative(t, kind) is None
     assert 0 < hits < len(triples)
+
+
+def anti_derivative_by_preimage(t: PPT, kind: DerivativeKind) -> AntiDerivative:
+    """The discriminant, then the preimage from the generator pair, then the roots, each a step of
+    its own; the oracle for anti_derivative()."""
+    disc, m = symphonic._discriminant(t, kind)
+    q, p = _generator_pair(t)
+    sign = 1 if kind is DerivativeKind.MAJOR else -1
+    u, hyp = p + sign * q, p - sign * q
+    if m is None:
+        roots, integral = (_proven(QuadraticSurd, u, disc, 2, 1), _proven(QuadraticSurd, u, disc, 2, -1)), None
+    else:
+        x, y = (u + m) // 2, abs(u - m) // 2
+        integral = _proven_ppt(x, y, hyp) if x % 2 else _proven_ppt(y, x, hyp)
+        roots = (_proven(QuadraticSurd, (u + m) // 2, 0, 1, 1), _proven(QuadraticSurd, (u - m) // 2, 0, 1, 1))
+    return AntiDerivative(kind, roots, hyp, integral)
+
+
+def _assert_anti_derivatives_match_preimage_route(t: PPT) -> int:
+    # Field for field, with the same types, repr and hash; returns the number of integral preimages.
+    hits = 0
+    for kind in DerivativeKind:
+        got, want = anti_derivative(t, kind), anti_derivative_by_preimage(t, kind)
+        assert type(got) is AntiDerivative
+        for name in AntiDerivative.__match_args__:
+            assert getattr(got, name) == getattr(want, name)
+            assert type(getattr(got, name)) is type(getattr(want, name))
+        assert [type(root) for root in got.roots] == [type(root) for root in want.roots] == [QuadraticSurd] * 2
+        assert repr(got) == repr(want) and hash(got) == hash(want)
+        assert is_derivative(t, kind) == got.integral
+        hits += got.integral is not None
+    return hits
+
+
+def test_anti_derivative_matches_the_preimage_route_by_hypotenuse():
+    assert sum(map(_assert_anti_derivatives_match_preimage_route, iter_by_hypotenuse(10**5))) > 0
+
+
+def test_anti_derivative_matches_the_preimage_route_on_big_triples(big_triples):
+    for t in big_triples:
+        _assert_anti_derivatives_match_preimage_route(t)
+        assert all(_assert_anti_derivatives_match_preimage_route(derivative(t, kind)) for kind in DerivativeKind)
+
+
+@given(primary_pair())
+def test_anti_derivative_matches_the_preimage_route_on_drawn_generators(pair):
+    # The drawn triple and both its derivatives, so each kind meets a square discriminant.
+    t = triple_from_primary(Fraction(*pair))
+    _assert_anti_derivatives_match_preimage_route(t)
+    assert all(_assert_anti_derivatives_match_preimage_route(derivative(t, kind)) for kind in DerivativeKind)
 
 
 @st.composite

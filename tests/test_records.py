@@ -318,11 +318,12 @@ def test_defaults_match():
 
 
 def test_repr_names_ints_past_the_digit_limit_by_size():
-    # The dataclass repr raised the interpreter's digit-limit ValueError on these three.
+    # The dataclass repr raised the interpreter's digit-limit ValueError on these four.
     assert repr(pa.pell(20000)) == "PellPair(index=20000, p=a 25430-bit integer, q=a 25431-bit integer)"
     assert repr(pa.PathCode((("B", _BIG),))) == "PathCode(runs=(('B', a 16610-bit integer),))"
     big = pa.triple_from_primary(pa.apply_path(pa.ROOT_GENERATOR, pa.PathCode.parse("B^7000")))
     assert repr(big) == "PPT(a=a 17804-bit integer, b=a 17804-bit integer, c=a 17805-bit integer)"
+    assert repr(pa.inscribed_squares(big)) == "SquarePair(h=a 35608-bit fraction, s=a 53412-bit fraction)"
 
 
 def test_repr_hash_and_equality_match():
