@@ -344,9 +344,12 @@ def enumerate_level(n: int) -> list[PPT]:
     """All 3^n triples of tree level n, in left-to-right order."""
     if n < 0:
         raise ValueError(f"tree level must be nonnegative, got {_shown(n, 'integer')}")
-    for pairs in _levels(n):
+    if n == 0:
+        return [_primary_triple(1, 2)]
+    for parents in _levels(n - 1):
         pass
-    return [_primary_triple(q, p) for q, p in pairs]
+    # The triples of level n straight from the pairs of level n - 1, so that no list of level-n pairs is built.
+    return [_primary_triple(cq, cp) for q, p in parents for cq, cp in _children(q, p)]
 
 
 def walk(max_depth: int) -> Iterator[PPT]:

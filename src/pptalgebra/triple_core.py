@@ -44,7 +44,7 @@ _setattr = object.__setattr__
 
 
 def _assign(record: object, *values: object) -> None:
-    # Set the fields past the frozen __setattr__, in declaration order: that keeps key-sharing dicts.
+    # Set the fields, in declaration order, through their slots past the frozen __setattr__.
     for name, value in zip(record.__match_args__, values):
         _setattr(record, name, value)
 
@@ -67,13 +67,17 @@ def _compare(op, key):
 
 
 def _record(cls: type | None = None, *, order: bool = False):
-    # dataclass(frozen=True, order=order) without its import or compiled code.  repr, hash, == and the
-    # orderings use the tuple of annotated fields; == takes a lone field bare, which compares the same.
+    # dataclass(frozen=True, order=order, slots=True) without its import or compiled code.  repr, hash,
+    # == and the orderings use the tuple of annotated fields; == takes a lone field bare, which compares
+    # the same.  copy and pickle rebuild through _proven, since the frozen __setattr__ refuses slot state.
     if cls is None:
         return lambda cls: _record(cls, order=order)
     fields = tuple(cls.__annotations__)
+    body = {name: value for name, value in vars(cls).items() if name not in ("__dict__", "__weakref__")}
+    cls = type(cls)(cls.__name__, cls.__bases__, {**body, "__slots__": fields})
     get = operator.attrgetter(*fields)
     key = get if len(fields) > 1 else lambda record: (get(record),)
+    cls.__reduce__ = lambda self: (_proven, (self.__class__, *key(self)))
     template = "{}(" + ", ".join(f"{name}={{}}" for name in fields) + ")"
     cls.__repr__ = lambda self: template.format(self.__class__.__qualname__, *map(_field_repr, key(self)))
     cls.__hash__ = lambda self: hash(key(self))
@@ -157,12 +161,15 @@ def _proven(cls: type, *values: object):
     return record
 
 
+_set_a, _set_b, _set_c = (getattr(PPT, name).__set__ for name in PPT.__match_args__)
+
+
 def _proven_ppt(a: int, b: int, c: int) -> PPT:
-    # _proven(PPT, a, b, c) unrolled, in declaration order: sweep and level build one per triple.
+    # _proven(PPT, a, b, c) unrolled through the slot setters: sweep and level build one per triple.
     t = object.__new__(PPT)
-    _setattr(t, "a", a)
-    _setattr(t, "b", b)
-    _setattr(t, "c", c)
+    _set_a(t, a)
+    _set_b(t, b)
+    _set_c(t, c)
     return t
 
 

@@ -15,6 +15,7 @@ from pptalgebra import (
     PathCode,
     apply_path,
     family_member,
+    iter_by_hypotenuse,
     triple_from_primary,
     walk,
 )
@@ -78,6 +79,12 @@ def corpus() -> list[PPT]:
 def small_corpus() -> list[PPT]:
     """All 1093 triples through tree depth 6."""
     return list(walk(6))
+
+
+@pytest.fixture(scope="session")
+def by_hypotenuse() -> list[PPT]:
+    """All 15919 triples with hypotenuse <= 10^5, in iter_by_hypotenuse order; callers must not mutate it."""
+    return list(iter_by_hypotenuse(10**5))
 
 
 @pytest.fixture(scope="session")

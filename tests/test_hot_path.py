@@ -95,8 +95,8 @@ def _assert_derivatives_match_formulas(t):
         assert corollary_generators(t, kind) == corollary_formula(t, kind)
 
 
-def test_derivatives_match_formulas_by_hypotenuse():
-    for t in iter_by_hypotenuse(10**5):
+def test_derivatives_match_formulas_by_hypotenuse(by_hypotenuse):
+    for t in by_hypotenuse:
         _assert_derivatives_match_formulas(t)
 
 
@@ -138,8 +138,8 @@ def _assert_key_and_secondary_triples_match_formulas(t):
         assert hash(built) == hash(expected)
 
 
-def test_key_and_secondary_triples_match_formulas_by_hypotenuse():
-    for t in iter_by_hypotenuse(10**5):
+def test_key_and_secondary_triples_match_formulas_by_hypotenuse(by_hypotenuse):
+    for t in by_hypotenuse:
         _assert_key_and_secondary_triples_match_formulas(t)
 
 
@@ -150,14 +150,15 @@ def test_key_and_secondary_triples_match_formulas_on_big_triples(big_triples):
 
 def _assert_same_as_checked(built):
     # A record built without its constructor's checks is the one the checked constructor
-    # builds from the same fields, down to its repr and the size of its instance dict.
+    # builds from the same fields, down to its repr, its slotted layout and its size.
     cls = type(built)
     fields = tuple(getattr(built, name) for name in cls.__match_args__)
     checked = cls(*fields)
     assert tuple(getattr(checked, name) for name in cls.__match_args__) == fields
-    assert list(vars(built)) == list(vars(checked)) == list(cls.__match_args__)
+    assert not hasattr(built, "__dict__") and not hasattr(checked, "__dict__")
+    assert cls.__slots__ == cls.__match_args__
     assert built == checked and hash(built) == hash(checked)
-    assert sys.getsizeof(vars(built)) == sys.getsizeof(vars(checked))
+    assert sys.getsizeof(built) == sys.getsizeof(checked)
     with pytest.raises(FrozenInstanceError):
         setattr(built, cls.__match_args__[0], fields[0])
     limit = sys.get_int_max_str_digits()
@@ -168,8 +169,8 @@ def _assert_same_as_checked(built):
         sys.set_int_max_str_digits(limit)
 
 
-def test_proven_triples_equal_checked_ones():
-    sweep = list(iter_by_hypotenuse(10**5))
+def test_proven_triples_equal_checked_ones(by_hypotenuse):
+    sweep = by_hypotenuse
     built = enumerate_level(8) + sweep
     for t in sweep:
         built.extend(children(t))
@@ -279,8 +280,8 @@ def _assert_anti_derivatives_match_preimage_route(t: PPT) -> int:
     return hits
 
 
-def test_anti_derivative_matches_the_preimage_route_by_hypotenuse():
-    assert sum(map(_assert_anti_derivatives_match_preimage_route, iter_by_hypotenuse(10**5))) > 0
+def test_anti_derivative_matches_the_preimage_route_by_hypotenuse(by_hypotenuse):
+    assert sum(map(_assert_anti_derivatives_match_preimage_route, by_hypotenuse)) > 0
 
 
 def test_anti_derivative_matches_the_preimage_route_on_big_triples(big_triples):

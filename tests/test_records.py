@@ -393,9 +393,26 @@ def test_mutation_raises_frozen_instance_error():
 
 
 def test_copy_pickle_and_match():
-    for _, new in _pairs():
-        for twin in (copy.copy(new), copy.deepcopy(new), pickle.loads(pickle.dumps(new))):
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # protocols 0 and 1 write an int in decimal
+    try:
+        pairs = [(old, new, [pickle.loads(pickle.dumps(new, n)) for n in protocols]) for old, new in _pairs()]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    for old, new, pickled in pairs:
+        for twin in [copy.copy(new), copy.deepcopy(new), *pickled]:
             assert type(twin) is type(new) and twin == new and _values(twin) == _values(new)
+            # A twin is as frozen as the original, with the dataclass's messages.
+            for name in (*new.__match_args__, "other"):
+                with pytest.raises(FrozenInstanceError) as new_error:
+                    setattr(twin, name, 1)
+                with pytest.raises(FrozenInstanceError) as old_error:
+                    setattr(old, name, 1)
+                assert str(new_error.value) == str(old_error.value)
+            with pytest.raises(FrozenInstanceError, match=f"cannot delete field {new.__match_args__[0]!r}"):
+                delattr(twin, new.__match_args__[0])
+            assert _values(twin) == _values(new)
     match pa.PPT(5, 12, 13):
         case pa.PPT(a, b, c=c):
             assert (a, b, c) == (5, 12, 13)
@@ -404,9 +421,13 @@ def test_copy_pickle_and_match():
             assert runs == (("B", 2),)
 
 
-def test_key_sharing_instance_dicts():
-    # Fields are set in declaration order, so instances share their dict keys: a record
-    # built by the checked constructor is no larger than one built by _proven_ppt.
+def test_slotted_layout():
+    # Every record is slotted: no instance dict, one slot per field in declaration order, so a
+    # record built by _proven_ppt or _proven is the size of one built by the checked constructor.
+    for _, new in _pairs():
+        assert not hasattr(new, "__dict__")
+        assert type(new).__slots__ == type(new).__match_args__
     checked, proven = pa.PPT(3, 4, 5), pa.triple_from_primary(Fraction(1, 2))
-    assert sys.getsizeof(vars(checked)) == sys.getsizeof(vars(proven))
-    assert list(vars(checked)) == ["a", "b", "c"]
+    assert sys.getsizeof(proven) == sys.getsizeof(checked)
+    with pytest.raises(TypeError):
+        vars(checked)

@@ -693,9 +693,16 @@ def test_levels():
 def test_levels_match_fraction_stepping():
     # Generator-pair stepping and single fraction steps must build the same levels.
     generators = [ROOT_GENERATOR]
-    for depth in range(5):
+    for depth in range(8):
         assert enumerate_level(depth) == [triple_from_primary(g) for g in generators]
         generators = [step(g, letter) for g in generators for letter in "ABC"]
+
+
+def test_levels_are_the_last_levels_of_walk():
+    # enumerate_level builds level n from the pairs of level n - 1; walk still builds
+    # each triple from the materialised pairs of its own level.
+    for depth in range(9):
+        assert enumerate_level(depth) == list(walk(depth))[-3**depth :]
 
 
 def test_level_sizes_and_uniqueness():
