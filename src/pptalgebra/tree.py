@@ -14,8 +14,9 @@ import re
 from collections.abc import Iterable, Iterator
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 
-from .triple_core import PPT, TripleError, _assign, _proven, _proven_fraction, _record, _shown
+from .triple_core import PPT, TripleError, _assign, _proven, _proven_fraction, _record, _set_a, _set_b, _set_c, _shown
 from .generators import _generator_pair, _primary_pair, _primary_triple, _proper_pair, triple_from_primary
 from .symphonic import _MAJOR, _MINOR, DerivativeKind, _derivative_pair
 
@@ -320,24 +321,31 @@ def apply_path(f: Fraction, code: PathCode) -> Fraction:
     return _proven_fraction(a * q + b * p, c * q + d * p)
 
 
-def _children(q: int, p: int) -> tuple[tuple[int, int], ...]:
-    # The A, B and C children of the generator q/p.
-    return (q, p + 2 * q), (p, 2 * p + q), (p, 2 * p - q)
-
-
 def _levels(depth: int) -> Iterator[list[tuple[int, int]]]:
-    # Generator pairs of levels 0..depth, each level in left-to-right order.
+    # Generator pairs of levels 0..depth, left to right; the children of q/p are (q, p + 2q), (p, 2p + q), (p, 2p - q).
     pairs = [(1, 2)]
     yield pairs
     for _ in range(depth):
-        pairs = [child for q, p in pairs for child in _children(q, p)]
+        pairs = [child for q, p in pairs for child in ((q, p + 2 * q), (p, 2 * p + q), (p, 2 * p - q))]
         yield pairs
+
+
+def _child_triples(parents: Iterable[tuple[int, int]]) -> Iterator[PPT]:
+    # The A, B and C child triples of each pair, in order, as _primary_triple builds them but with no call per triple.
+    for q, p in parents:
+        qq, pp = q * q, p * p
+        for cq, cqq, cp in (q, qq, p + 2 * q), (p, pp, 2 * p + q), (p, pp, 2 * p - q):
+            rr = cp * cp
+            t = object.__new__(PPT)
+            _set_a(t, rr - cqq)
+            _set_b(t, 2 * cq * cp)
+            _set_c(t, rr + cqq)
+            yield t
 
 
 def children(t: PPT) -> tuple[PPT, PPT, PPT]:
     """The left, middle and right successors of a triple."""
-    left, middle, right = _children(*_generator_pair(t))
-    return _primary_triple(*left), _primary_triple(*middle), _primary_triple(*right)
+    return tuple(_child_triples((_generator_pair(t),)))
 
 
 def enumerate_level(n: int) -> list[PPT]:
@@ -349,16 +357,16 @@ def enumerate_level(n: int) -> list[PPT]:
     for parents in _levels(n - 1):
         pass
     # The triples of level n straight from the pairs of level n - 1, so that no list of level-n pairs is built.
-    return [_primary_triple(cq, cp) for q, p in parents for cq, cp in _children(q, p)]
+    return list(_child_triples(parents))
 
 
 def walk(max_depth: int) -> Iterator[PPT]:
     """Breadth-first triples, level by level, through depth max_depth."""
     if max_depth < 0:
         raise ValueError(f"depth must be nonnegative, got {_shown(max_depth, 'integer')}")
-    for pairs in _levels(max_depth):
-        for q, p in pairs:
-            yield _primary_triple(q, p)
+    yield _primary_triple(1, 2)
+    for parents in islice(_levels(max_depth), max_depth):
+        yield from _child_triples(parents)
 
 
 def iter_by_hypotenuse(bound: int) -> Iterator[PPT]:
@@ -372,10 +380,21 @@ def iter_by_hypotenuse(bound: int) -> Iterator[PPT]:
     stack = [(1, 2)]
     while stack:
         q, p = stack.pop()
-        yield _primary_triple(q, p)
-        for cq, cp in _children(q, p):
-            if cq * cq + cp * cp <= bound:
-                stack.append((cq, cp))
+        qq, pp, b = q * q, p * p, 2 * p * q  # _primary_triple(q, p), with no call
+        t = object.__new__(PPT)
+        _set_a(t, pp - qq)
+        _set_b(t, b)
+        _set_c(t, pp + qq)
+        yield t
+        # Push A, B, C.  B's hypotenuse is C's plus (2p + q)^2 - (2p - q)^2 = 8pq = 4b: B waits on C.
+        r = p + 2 * q
+        if qq + r * r <= bound:
+            stack.append((q, r))
+        r = 2 * p - q
+        if (c := pp + r * r) <= bound:
+            if c + 4 * b <= bound:
+                stack.append((p, 2 * p + q))
+            stack.append((p, r))
 
 
 def derive_generator(f: Fraction, kind: DerivativeKind) -> Fraction:

@@ -67,9 +67,9 @@ def _compare(op, key):
 
 
 def _record(cls: type | None = None, *, order: bool = False):
-    # dataclass(frozen=True, order=order, slots=True) without its import or compiled code.  repr, hash,
-    # == and the orderings use the tuple of annotated fields; == takes a lone field bare, which compares
-    # the same.  copy and pickle rebuild through _proven, since the frozen __setattr__ refuses slot state.
+    # dataclass(frozen=True, order=order, slots=True) without its import or compiled code.  repr, hash, == and the
+    # orderings use the tuple of annotated fields; == takes a lone field bare, which compares the same.  copy and
+    # pickle rebuild through _proven, past the frozen __setattr__; __setstate__ loads a pre-slots pickle's dict.
     if cls is None:
         return lambda cls: _record(cls, order=order)
     fields = tuple(cls.__annotations__)
@@ -78,6 +78,7 @@ def _record(cls: type | None = None, *, order: bool = False):
     get = operator.attrgetter(*fields)
     key = get if len(fields) > 1 else lambda record: (get(record),)
     cls.__reduce__ = lambda self: (_proven, (self.__class__, *key(self)))
+    cls.__setstate__ = lambda self, state: _assign(self, *map(state.__getitem__, fields))
     template = "{}(" + ", ".join(f"{name}={{}}" for name in fields) + ")"
     cls.__repr__ = lambda self: template.format(self.__class__.__qualname__, *map(_field_repr, key(self)))
     cls.__hash__ = lambda self: hash(key(self))
@@ -165,7 +166,7 @@ _set_a, _set_b, _set_c = (getattr(PPT, name).__set__ for name in PPT.__match_arg
 
 
 def _proven_ppt(a: int, b: int, c: int) -> PPT:
-    # _proven(PPT, a, b, c) unrolled through the slot setters: sweep and level build one per triple.
+    # _proven(PPT, a, b, c) unrolled through the slot setters, which the tree's bulk builders call inline.
     t = object.__new__(PPT)
     _set_a(t, a)
     _set_b(t, b)

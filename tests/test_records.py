@@ -9,8 +9,10 @@ so that repr text and TypeError messages can be compared byte for byte.
 from __future__ import annotations
 
 import copy
+import copyreg
 import math
 import pickle
+import pickletools
 import random
 import sys
 from dataclasses import FrozenInstanceError, dataclass, fields
@@ -20,7 +22,7 @@ import pytest
 
 import pptalgebra as pa
 from pptalgebra.symphonic import _SURD_SCAN_CAP
-from pptalgebra.triple_core import _shown
+from pptalgebra.triple_core import _proven, _shown
 
 
 @dataclass(frozen=True, order=True)
@@ -419,6 +421,44 @@ def test_copy_pickle_and_match():
     match pa.PathCode((("B", 2),)):
         case pa.PathCode(runs):
             assert runs == (("B", 2),)
+
+
+class _UnslottedPickle:
+    """Pickles as a record did before records had slots: the class, then its instance dict as state."""
+
+    def __init__(self, cls: type, **fields: object) -> None:
+        self.cls, self.fields = cls, fields
+
+    @property
+    def __class__(self) -> type:  # the pickler requires __newobj__'s class to be the object's
+        return self.cls
+
+    def __reduce_ex__(self, protocol: int):
+        return copyreg.__newobj__, (self.cls,), self.fields
+
+
+def _opcodes(stream: bytes) -> set[str]:
+    return {op.name for op, _, _ in pickletools.genops(stream)}
+
+
+def test_records_pickled_before_slots_still_load():
+    h, s = Fraction(60, 17), Fraction(780, 229)
+    for record, shim in (
+        (pa.PPT(3, 4, 5), _UnslottedPickle(pa.PPT, a=3, b=4, c=5)),
+        (pa.SquarePair(h, s), _UnslottedPickle(pa.SquarePair, h=h, s=s)),
+    ):
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            stream = pickle.dumps(shim, protocol)
+            assert "BUILD" in _opcodes(stream)  # the dict state goes through __setstate__
+            loaded = pickle.loads(stream)
+            assert type(loaded) is type(record) and loaded == record and hash(loaded) == hash(record)
+            assert _values(loaded) == _values(record) and repr(loaded) == repr(record)
+            assert not hasattr(loaded, "__dict__")
+            with pytest.raises(FrozenInstanceError):
+                setattr(loaded, type(record).__match_args__[0], 1)
+            # A new pickle still rebuilds through _proven, with no state to set.
+            assert record.__reduce_ex__(protocol) == (_proven, (type(record), *_values(record)))
+            assert "BUILD" not in _opcodes(pickle.dumps(record, protocol))
 
 
 def test_slotted_layout():

@@ -699,8 +699,7 @@ def test_levels_match_fraction_stepping():
 
 
 def test_levels_are_the_last_levels_of_walk():
-    # enumerate_level builds level n from the pairs of level n - 1; walk still builds
-    # each triple from the materialised pairs of its own level.
+    # enumerate_level returns as a list the level that walk streams last.
     for depth in range(9):
         assert enumerate_level(depth) == list(walk(depth))[-3**depth :]
 
@@ -731,6 +730,33 @@ def test_iter_by_hypotenuse_matches_brute_force(brute_force):
     for bound in (300, 2000):
         assert sorted(iter_by_hypotenuse(bound)) == brute_force(bound)
     assert list(iter_by_hypotenuse(4)) == []
+
+
+# Children with hypotenuses up to here have their edges checked; the 3184 streams up to 10^4 would take seconds.
+_EDGE_CHILDREN_UP_TO = 2000
+
+
+def _reference_by_hypotenuse(bound: int) -> list[tuple[int, int, int]]:
+    # The sides iter_by_hypotenuse yields, from a depth-first walk that tests each of
+    # the A, B and C children against the bound on its own and pushes them in that order.
+    if bound < 5:
+        return []
+    found, stack = [], [(1, 2)]
+    while stack:
+        q, p = stack.pop()
+        found.append((p * p - q * q, 2 * p * q, p * p + q * q))
+        for cq, cp in (q, p + 2 * q), (p, 2 * p + q), (p, 2 * p - q):
+            if cq * cq + cp * cp <= bound:
+                stack.append((cq, cp))
+    return found
+
+
+def test_iter_by_hypotenuse_matches_the_childwise_reference_at_every_edge():
+    # B is tested only once C is in, since B's hypotenuse is C's plus 8pq.  So the bounds
+    # that matter sit at a child's hypotenuse: every child is checked just in and just out.
+    edges = {c + d for _, _, c in _reference_by_hypotenuse(_EDGE_CHILDREN_UP_TO)[1:] for d in (-1, 0)}
+    for bound in sorted(set(range(601)) | edges):
+        assert [t.sides() for t in iter_by_hypotenuse(bound)] == _reference_by_hypotenuse(bound)
 
 
 def test_enumeration_order_matches_key_sequence_stepping():
