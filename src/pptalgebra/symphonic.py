@@ -224,14 +224,14 @@ def _discriminant(t: PPT, kind: DerivativeKind) -> tuple[int, int | None]:
     # when disc is a square, else None.  With Q/P the primary generator,
     # t = (P^2 - Q^2, 2PQ, P^2 + Q^2), u = P +- Q and disc = u^2 -+ 8PQ.  Since
     # (P +- Q)^2 = c +- b and 8PQ = 4b, disc = c -+ 3b, read off the sides with no pair.
-    # c is odd and b even, so disc is odd: never 0^2, and as odd squares are 1 mod 8, no square unless 1 mod 8.
+    # c is odd and b even, so disc is odd: never 0, and so never 0^2.
     if kind is _MAJOR:
         disc = t.c - 3 * t.b
     elif kind is _MINOR:
         disc = t.c + 3 * t.b
     else:
         raise TypeError(f"expected a DerivativeKind, got {_shown(kind, 'integer', repr)}")
-    m = math.isqrt(disc) if disc & 7 == 1 and disc > 0 else 0
+    m = math.isqrt(disc) if disc > 0 else 0
     return disc, m if m * m == disc else None
 
 

@@ -322,7 +322,7 @@ def apply_path(f: Fraction, code: PathCode) -> Fraction:
 
 
 def _levels(depth: int) -> Iterator[list[tuple[int, int]]]:
-    # Generator pairs of levels 0..depth, left to right; the children of q/p are (q, p + 2q), (p, 2p + q), (p, 2p - q).
+    # Generator pairs of levels 0..depth, left to right; q/p has the children (q, p + 2q), (p, 2p + q), (p, 2p - q).
     pairs = [(1, 2)]
     yield pairs
     for _ in range(depth):
@@ -331,7 +331,9 @@ def _levels(depth: int) -> Iterator[list[tuple[int, int]]]:
 
 
 def _child_triples(parents: Iterable[tuple[int, int]]) -> Iterator[PPT]:
-    # The A, B and C child triples of each pair, in order, as _primary_triple builds them but with no call per triple.
+    # The A, B and C child triples of each pair, in order.  This loop and iter_by_hypotenuse copy the child map of
+    # _levels, the sides of _primary_triple and the slot layout of _proven_ppt, to save a Python call per triple:
+    # a change to any of those three must be made in both copies too.
     for q, p in parents:
         qq, pp = q * q, p * p
         for cq, cqq, cp in (q, qq, p + 2 * q), (p, pp, 2 * p + q), (p, pp, 2 * p - q):
@@ -352,12 +354,10 @@ def enumerate_level(n: int) -> list[PPT]:
     """All 3^n triples of tree level n, in left-to-right order."""
     if n < 0:
         raise ValueError(f"tree level must be nonnegative, got {_shown(n, 'integer')}")
-    if n == 0:
-        return [_primary_triple(1, 2)]
     for parents in _levels(n - 1):
         pass
     # The triples of level n straight from the pairs of level n - 1, so that no list of level-n pairs is built.
-    return list(_child_triples(parents))
+    return list(_child_triples(parents)) if n else [_primary_triple(1, 2)]
 
 
 def walk(max_depth: int) -> Iterator[PPT]:

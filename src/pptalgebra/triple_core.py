@@ -166,7 +166,7 @@ _set_a, _set_b, _set_c = (getattr(PPT, name).__set__ for name in PPT.__match_arg
 
 
 def _proven_ppt(a: int, b: int, c: int) -> PPT:
-    # _proven(PPT, a, b, c) unrolled through the slot setters, which the tree's bulk builders call inline.
+    # _proven(PPT, a, b, c) unrolled through the slot setters; the tree's two hot loops copy it inline.
     t = object.__new__(PPT)
     _set_a(t, a)
     _set_b(t, b)

@@ -4,7 +4,6 @@ import math
 import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given
@@ -251,31 +250,14 @@ def test_misses_never_read_the_generator_pair(monkeypatch):
 
 
 def _square_root_or_none(disc: int) -> int | None:
-    # isqrt and compare, with no residue screen: the oracle for _discriminant's m.
+    # isqrt and compare: the oracle for _discriminant's m.
     m = math.isqrt(disc) if disc >= 0 else None
     return m if m is not None and m * m == disc else None
 
 
-# Odd ints: negative and small ones, ones up to 2^4000, and odd squares up to there and squares +- 2.
-_odd_squares = st.integers(0, 2**1999).map(lambda r: (2 * r + 1) ** 2)
-odd_discriminants = st.one_of(
-    st.integers(-(2**64), 1000),
-    st.integers(0, 2**4000),
-    _odd_squares,
-    st.tuples(_odd_squares, st.sampled_from((-2, 2))).map(sum),
-).map(lambda n: n | 1)
-
-
-@given(odd_discriminants, st.integers(0, 2**64).map(lambda n: 2 * n))
-def test_square_screen_keeps_every_square(disc, b):
-    # _discriminant reads only c and b, so stand-ins put any odd disc = c -+ 3b before it.
-    for kind, c in ((DerivativeKind.MAJOR, disc + 3 * b), (DerivativeKind.MINOR, disc - 3 * b)):
-        assert symphonic._discriminant(SimpleNamespace(b=b, c=c), kind) == (disc, _square_root_or_none(disc))
-
-
 def anti_derivative_by_preimage(t: PPT, kind: DerivativeKind) -> AntiDerivative:
-    """The discriminant c -+ 3b and its root with no residue screen, then the preimage from the
-    generator pair, then the roots, each a step of its own; the oracle for anti_derivative()."""
+    """The discriminant c -+ 3b and its root, then the preimage from the generator pair, then the
+    roots, each a step of its own; the oracle for anti_derivative()."""
     sign = 1 if kind is DerivativeKind.MAJOR else -1
     disc = t.c - sign * 3 * t.b
     m = _square_root_or_none(disc)

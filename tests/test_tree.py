@@ -699,9 +699,14 @@ def test_levels_match_fraction_stepping():
 
 
 def test_levels_are_the_last_levels_of_walk():
-    # enumerate_level returns as a list the level that walk streams last.
+    # enumerate_level lists the level that walk streams last.  Both build through _child_triples, so each
+    # is held to key-sequence stepping, which shares no code with them.
+    keys = [ROOT_KEY]
     for depth in range(9):
-        assert enumerate_level(depth) == list(walk(depth))[-3**depth :]
+        level = [mixed_form(key) for key in keys]
+        assert enumerate_level(depth) == level
+        assert list(walk(depth))[-3**depth :] == level
+        keys = [child for key in keys for child in key_children(key)]
 
 
 def test_level_sizes_and_uniqueness():
