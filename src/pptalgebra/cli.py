@@ -4,7 +4,8 @@ Every verb takes --json to emit a single JSON object instead of text.  A verb's
 payload holds library values, and --json converts them once, in _wire: values are
 decimal strings (sides routinely exceed 64 bits), fractions are "q/p", and path codes
 use the same letters/run-length format parse() accepts, so output round-trips
-losslessly.  The text output renders the same values through _text.
+losslessly.  A verb is a generator: it yields its payload, and then, only when text is
+asked for, renders the same values as text lines through _text.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Iterable
-from itertools import accumulate, chain
+from collections.abc import Iterator
+from itertools import accumulate
 
 from .triple_core import (
     PPT,
@@ -88,7 +89,7 @@ def _lines(payload: dict, *keys: str) -> list[str]:
     return [f"{key.replace('_', ' ')}: {_text(payload[key])}" for key in keys or payload]
 
 
-def _cmd_info(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _cmd_info(args: argparse.Namespace) -> Iterator[dict | str]:
     key = key_sequence_of(args.triple)
     r = radii(key)
     sq = inscribed_squares(args.triple)
@@ -106,10 +107,11 @@ def _cmd_info(args: argparse.Namespace) -> tuple[dict, list[str]]:
         "path": code,
         "depth": code.length,
     }
-    return payload, _lines(payload)
+    yield payload
+    yield from _lines(payload)
 
 
-def _cmd_derive(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _cmd_derive(args: argparse.Namespace) -> Iterator[dict | str]:
     d = derivative(args.triple, args.kind)
     d1, d2 = generators_of(d)
     payload = {
@@ -121,11 +123,12 @@ def _cmd_derive(args: argparse.Namespace) -> tuple[dict, list[str]]:
         "class": classify(d),
         "path": locate(d1),
     }
-    heading = f"{_text(args.triple)} --{_text(args.kind)}--> {_text(d)}"
-    return payload, [heading, *_lines(payload, "primary_generator", "secondary_generator", "class", "path")]
+    yield payload
+    yield f"{_text(args.triple)} --{_text(args.kind)}--> {_text(d)}"
+    yield from _lines(payload, "primary_generator", "secondary_generator", "class", "path")
 
 
-def _cmd_antiderive(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _cmd_antiderive(args: argparse.Namespace) -> Iterator[dict | str]:
     anti = anti_derivative(args.triple, args.kind)
     payload = {
         "kind": args.kind,
@@ -134,11 +137,12 @@ def _cmd_antiderive(args: argparse.Namespace) -> tuple[dict, list[str]]:
         "hypotenuse": anti.hypotenuse,
         "integral": anti.integral,
     }
-    heading = f"anti-derivative ({_text(args.kind)}) of {_text(args.triple)}"
-    return payload, [heading, *_lines(payload, "roots", "hypotenuse", "integral")]
+    yield payload
+    yield f"anti-derivative ({_text(args.kind)}) of {_text(args.triple)}"
+    yield from _lines(payload, "roots", "hypotenuse", "integral")
 
 
-def _cmd_locate(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _cmd_locate(args: argparse.Namespace) -> Iterator[dict | str]:
     payload: dict = {}
     if len(args.target) == 1:
         f = parse_fraction(args.target[0])
@@ -152,10 +156,11 @@ def _cmd_locate(args: argparse.Namespace) -> tuple[dict, list[str]]:
     payload["path"] = code
     payload["length"] = code.length
     payload["runs"] = code.compact()
-    return payload, _lines(payload)
+    yield payload
+    yield from _lines(payload)
 
 
-def _cmd_path(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _cmd_path(args: argparse.Namespace) -> Iterator[dict | str]:
     code = PathCode.parse(args.code)
     f = apply_path(ROOT_GENERATOR, code)
     payload = {
@@ -164,10 +169,11 @@ def _cmd_path(args: argparse.Namespace) -> tuple[dict, list[str]]:
         "generator": f,
         "triple": triple_from_primary(f),
     }
-    return payload, _lines(payload)
+    yield payload
+    yield from _lines(payload)
 
 
-def _cmd_children(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _cmd_children(args: argparse.Namespace) -> Iterator[dict | str]:
     left, middle, right = children(args.triple)
     payload = {
         "triple": args.triple,
@@ -175,28 +181,26 @@ def _cmd_children(args: argparse.Namespace) -> tuple[dict, list[str]]:
         "middle": middle,
         "right": right,
     }
-    lines = [f"children of {_text(args.triple)}"]
-    lines.extend(f"{key + ':':<7} {_text(payload[key])}" for key in ("left", "middle", "right"))
-    return payload, lines
+    yield payload
+    yield f"children of {_text(args.triple)}"
+    yield from (f"{key + ':':<7} {_text(payload[key])}" for key in ("left", "middle", "right"))
 
 
-def _cmd_level(args: argparse.Namespace) -> tuple[dict, Iterable[str]]:
+def _cmd_level(args: argparse.Namespace) -> Iterator[dict | str]:
     if args.depth > args.max_depth:
-        raise ValueError(
-            f"level {args.depth} exceeds the cap {args.max_depth};"
-            " raise --max-depth to allow it"
-        )
+        raise ValueError(f"level {args.depth} exceeds the cap {args.max_depth}; raise --max-depth to allow it")
     triples = enumerate_level(args.depth)
     payload = {
         "level": args.depth,
         "count": len(triples),
         "triples": triples,
     }
-    heading = f"level {_text(args.depth)}: {_text(len(triples))} triples"
-    return payload, chain([heading], (f"  {_text(t)}" for t in triples))  # lazy: --json renders none of them
+    yield payload
+    yield f"level {_text(args.depth)}: {_text(len(triples))} triples"
+    yield from (f"  {_text(t)}" for t in triples)
 
 
-def _cmd_classify(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _cmd_classify(args: argparse.Namespace) -> Iterator[dict | str]:
     witness = divisibility_witness(args.triple)
     original, derived = factor_class_transition(args.triple)
     payload = {
@@ -207,14 +211,13 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, list[str]]:
         "five_divides": witness.five_divides,
         "derivative_class": derived,
     }
-    return payload, [
-        f"{_text(args.triple)}: class {_text(original)}",
-        f"3 divides {witness.three_divides}; 4 divides b; 5 divides {witness.five_divides}",
-        f"derivatives land in {_text(derived)}",
-    ]
+    yield payload
+    yield f"{_text(args.triple)}: class {_text(original)}"
+    yield f"3 divides {witness.three_divides}; 4 divides b; 5 divides {witness.five_divides}"
+    yield f"derivatives land in {_text(derived)}"
 
 
-def _cmd_squares(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _cmd_squares(args: argparse.Namespace) -> Iterator[dict | str]:
     sq = inscribed_squares(args.triple)
     scale = integer_square_scale(args.triple)
     payload = {
@@ -227,14 +230,13 @@ def _cmd_squares(args: argparse.Namespace) -> tuple[dict, list[str]]:
         "scaled_harmonic": scale.h,
         "scaled_symphonic": scale.s,
     }
-    return payload, [
-        *_lines(payload, "triple", "harmonic_square", "symphonic_square", "reciprocal_triple"),
-        f"integer scale: {_text(scale.scale)}",
-        f"scaled: [{_text(scale.scaled)}] with h={_text(scale.h)} s={_text(scale.s)}",
-    ]
+    yield payload
+    yield from _lines(payload, "triple", "harmonic_square", "symphonic_square", "reciprocal_triple")
+    yield f"integer scale: {_text(scale.scale)}"
+    yield f"scaled: [{_text(scale.scaled)}] with h={_text(scale.h)} s={_text(scale.s)}"
 
 
-def _cmd_family(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _cmd_family(args: argparse.Namespace) -> Iterator[dict | str]:
     fam = Family(FamilyLine(args.line), args.index)
     gen = family_generator(fam)
     member = triple_from_primary(gen)
@@ -245,7 +247,6 @@ def _cmd_family(args: argparse.Namespace) -> tuple[dict, list[str]]:
         "generator": gen,
         "triple": member,
     }
-    lines = [f"{_text(fam.line)} family, member {_text(fam.index)}", *_lines(payload, "path", "generator", "triple")]
     if args.derive is not None:
         kind = DerivativeKind(args.derive)
         payload |= {
@@ -254,12 +255,15 @@ def _cmd_family(args: argparse.Namespace) -> tuple[dict, list[str]]:
             "derivative_generator": derive_generator(gen, kind),
             "derivative_path": derivative_location(fam, kind),
         }
-        lines.append(f"{_text(kind)} derivative: {_text(payload['derivative'])}")
-        lines += _lines(payload, "derivative_generator", "derivative_path")
-    return payload, lines
+    yield payload
+    yield f"{_text(fam.line)} family, member {_text(fam.index)}"
+    yield from _lines(payload, "path", "generator", "triple")
+    if args.derive is not None:
+        yield f"{_text(kind)} derivative: {_text(payload['derivative'])}"
+        yield from _lines(payload, "derivative_generator", "derivative_path")
 
 
-def _cmd_fermat_demo(args: argparse.Namespace | None) -> tuple[dict, list[str]]:
+def _cmd_fermat_demo(args: argparse.Namespace | None) -> Iterator[dict | str]:
     t = make_ppt(*_FERMAT_SIDES)
     f = generators_of(t)[0]
     letters = locate(f).letters()
@@ -281,17 +285,16 @@ def _cmd_fermat_demo(args: argparse.Namespace | None) -> tuple[dict, list[str]]:
         "major_integral": is_derivative(t, DerivativeKind.MAJOR),
         "minor_integral": is_derivative(t, DerivativeKind.MINOR),
     }
-    return payload, [
-        f"Fermat's triple: {_text(t)}",
-        f"primary generator: {_text(f)}",
-        f"regression to the root ({_text(len(letters))} steps):",
-        *(f"  {row['letter']} {_text(row['fraction'])}" for row in rows),
-        f"code: {letters}",
-        f"path: {' '.join(blocks)} ({' + '.join(map(_text, _FERMAT_BLOCK_LENGTHS))} = {_text(len(letters))})",
-        f"class: {_text(payload['class'])}",
-        f"major anti-derivative: {_text(payload['major_integral'])}",
-        f"minor anti-derivative: {_text(payload['minor_integral'])}",
-    ]
+    yield payload
+    yield f"Fermat's triple: {_text(t)}"
+    yield f"primary generator: {_text(f)}"
+    yield f"regression to the root ({_text(len(letters))} steps):"
+    yield from (f"  {row['letter']} {_text(row['fraction'])}" for row in rows)
+    yield f"code: {letters}"
+    yield f"path: {' '.join(blocks)} ({' + '.join(map(_text, _FERMAT_BLOCK_LENGTHS))} = {_text(len(letters))})"
+    yield f"class: {_text(payload['class'])}"
+    yield f"major anti-derivative: {_text(payload['major_integral'])}"
+    yield f"minor anti-derivative: {_text(payload['minor_integral'])}"
 
 
 def fermat_demo() -> dict:
@@ -301,7 +304,7 @@ def fermat_demo() -> dict:
     of 5+9+4+16+4+3), walks that path down from the root recording the generator each
     step starts from, classifies it, and shows it is neither a major nor a minor derivative.
     """
-    return _wire(_cmd_fermat_demo(None)[0])
+    return _wire(next(_cmd_fermat_demo(None)))
 
 
 def _add_triple_args(p: argparse.ArgumentParser) -> None:
@@ -391,7 +394,8 @@ def run(argv: list[str] | None = None) -> int:
         try:
             if "sides" in args:
                 args.triple = make_ppt(*args.sides)
-            payload, lines = args.handler(args)
+            lines = args.handler(args)
+            payload = next(lines)  # every check runs before the payload is yielded
         except ValueError as exc:
             print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
             return 1

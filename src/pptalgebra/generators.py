@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 from numbers import Rational
 
-from .triple_core import PPT, TripleError, _assign, _proven_fraction, _proven_ppt, _record, _shown
+from .triple_core import PPT, TripleError, _assign, _proven, _proven_fraction, _record, _shown
 
 __all__ = [
     "KeySequence", "Radii", "WrongParity", "format_fraction", "generators_of",
@@ -171,8 +171,9 @@ def key_sequence_from_fraction(f: Fraction) -> KeySequence:
 
 def key_sequence_of(t: PPT) -> KeySequence:
     """The key sequence whose inner pair is the primary generator and outer pair the secondary."""
+    # q < p are coprime and of opposite parity, so p - q is odd and prime to q: the key is valid.
     q, p = _generator_pair(t)
-    return KeySequence(p - q, q, p, p + q)
+    return _proven(KeySequence, p - q, q, p, p + q)
 
 
 def triple_from_key(k: KeySequence) -> PPT:
@@ -192,7 +193,7 @@ def _primary_triple(q: int, p: int) -> PPT:
     # p^2 + q^2 is odd and divides 2p^2 and 2q^2, hence p and q.  A common factor of two
     # sides divides the third, so the triple is primitive and canonically oriented, and
     # PPT need not check it again.
-    return _proven_ppt(p * p - q * q, 2 * p * q, p * p + q * q)
+    return _proven(PPT, p * p - q * q, 2 * p * q, p * p + q * q)
 
 
 def triple_from_secondary(f: Fraction) -> PPT:
@@ -206,4 +207,5 @@ def triple_from_secondary(f: Fraction) -> PPT:
 
 def radii(k: KeySequence) -> Radii:
     """The four tangent-circle radii as pairwise products of the key sequence."""
-    return Radii(k.q1 * k.q2, k.q1 * k.p2, k.q2 * k.p1, k.p1 * k.p2)
+    # p1 = q1 + q2 and p2 = 2q1 + q2, so r1 + r2 + r3 = 2q1^2 + 3q1q2 + q2^2 = r4, and r1*r4 = r2*r3 = q1q2p1p2.
+    return _proven(Radii, k.q1 * k.q2, k.q1 * k.p2, k.q2 * k.p1, k.p1 * k.p2)

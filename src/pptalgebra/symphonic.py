@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational
 
-from .triple_core import PPT, TClass, _assign, _proven, _proven_ppt, _record, _shown, classify
+from .triple_core import PPT, TClass, _assign, _proven, _proven_fraction, _record, _shown, classify
 from .generators import _generator_pair, _generators, _primary_triple
 
 __all__ = [
@@ -100,11 +101,11 @@ class QuadraticSurd:
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{_shown(self, 'surd', parts=(self.u, self.d, self.v))} is irrational")
-        return Fraction(self.u, self.v)
+        return _proven_fraction(self.u, self.v)  # a rational surd is stored reduced, with v > 0
 
     def __str__(self) -> str:
         if self.is_rational:
-            return str(Fraction(self.u, self.v))
+            return str(self.as_fraction())
         op = "+" if self.sign == 1 else "-"
         return f"({self.u} {op} sqrt({self.d}))/{self.v}"
 
@@ -139,9 +140,11 @@ def harmonic_sum(alpha: Rational, beta: Rational) -> Fraction:
 
 
 def inscribed_squares(t: PPT) -> SquarePair:
-    """Sides of the leg-corner square ab/(a+b) and the hypotenuse square abc/(ab + c^2)."""
+    """Sides of the leg-corner square ab/(a+b) and the hypotenuse square abc/(ab + c^2), in lowest terms."""
+    # gcd(a, a + b) = gcd(a, b) = 1, likewise for b; ab + c^2 is c^2 mod a and mod b, ab mod c: each a unit.
     a, b, c = t.sides()
-    return SquarePair(Fraction(a * b, a + b), Fraction(a * b * c, a * b + c * c))
+    ab = a * b
+    return SquarePair(_proven_fraction(ab, a + b), _proven_fraction(ab * c, ab + c * c))
 
 
 @_record
@@ -159,20 +162,19 @@ class IntegerSquareScale:
 
 def integer_square_scale(t: PPT) -> IntegerSquareScale:
     """Scale a triple by the least factor making both inscribed squares integral."""
-    sq = inscribed_squares(t)
-    lam = math.lcm(sq.h.denominator, sq.s.denominator)
-    return IntegerSquareScale(
-        lam,
-        (lam * t.a, lam * t.b, lam * t.c),
-        int(lam * sq.h),
-        int(lam * sq.s),
-    )
+    # The squares' denominators a + b and ab + c^2 = (a + b)^2 - ab are coprime, as gcd(a + b, ab) = 1.
+    a, b, c = t.sides()
+    ab, u = a * b, a + b
+    w = ab + c * c
+    lam = u * w
+    return IntegerSquareScale(lam, (lam * a, lam * b, lam * c), ab * w, ab * c * u)
 
 
 def reciprocal_triple(t: PPT) -> tuple[Fraction, Fraction, Fraction]:
-    """The rational right triangle (1/h, 1/c, 1/s): two legs and hypotenuse."""
-    sq = inscribed_squares(t)
-    return 1 / sq.h, Fraction(1, t.c), 1 / sq.s
+    """The rational right triangle (1/h, 1/c, 1/s): two legs and hypotenuse; times abc, the major derivative."""
+    sq = inscribed_squares(t)  # reduced and positive, so each reciprocal swaps the terms; c as in altitude_kappa
+    (hn, hd), (sn, sd) = sq.h.as_integer_ratio(), sq.s.as_integer_ratio()
+    return _proven_fraction(hd, hn), _proven_fraction(1, operator.index(t.c)), _proven_fraction(sd, sn)
 
 
 def trivial_reciprocal_solution(t: PPT) -> tuple[int, int, int]:
@@ -261,7 +263,7 @@ def anti_derivative(t: PPT, kind: DerivativeKind) -> AntiDerivative:
     x, y = (u + m) // 2, (u - m) // 2
     roots = (_proven(QuadraticSurd, x, 0, 1, 1), _proven(QuadraticSurd, y, 0, 1, 1))
     y = abs(y)
-    return AntiDerivative(kind, roots, hyp, _proven_ppt(x, y, hyp) if x % 2 else _proven_ppt(y, x, hyp))
+    return AntiDerivative(kind, roots, hyp, _proven(PPT, x, y, hyp) if x % 2 else _proven(PPT, y, x, hyp))
 
 
 def is_derivative(t: PPT, kind: DerivativeKind) -> PPT | None:

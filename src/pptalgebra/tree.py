@@ -332,8 +332,8 @@ def _levels(depth: int) -> Iterator[list[tuple[int, int]]]:
 
 def _child_triples(parents: Iterable[tuple[int, int]]) -> Iterator[PPT]:
     # The A, B and C child triples of each pair, in order.  This loop and iter_by_hypotenuse copy the child map of
-    # _levels, the sides of _primary_triple and the slot layout of _proven_ppt, to save a Python call per triple:
-    # a change to any of those three must be made in both copies too.
+    # _levels, the sides of _primary_triple and _proven(PPT, ...) through PPT's slot setters, to save a Python call
+    # per triple: a change to any of those three must be made in both copies too.
     for q, p in parents:
         qq, pp = q * q, p * p
         for cq, cqq, cp in (q, qq, p + 2 * q), (p, pp, 2 * p + q), (p, pp, 2 * p - q):

@@ -165,15 +165,6 @@ def _proven(cls: type, *values: object):
 _set_a, _set_b, _set_c = (getattr(PPT, name).__set__ for name in PPT.__match_args__)
 
 
-def _proven_ppt(a: int, b: int, c: int) -> PPT:
-    # _proven(PPT, a, b, c) unrolled through the slot setters; the tree's two hot loops copy it inline.
-    t = object.__new__(PPT)
-    _set_a(t, a)
-    _set_b(t, b)
-    _set_c(t, c)
-    return t
-
-
 def _proven_fraction(q: int, p: int) -> Fraction:
     # Fraction(q, p) without its gcd, for coprime q and p > 0; 3.12+ has _from_coprime_ints for this.
     f = object.__new__(Fraction)
@@ -217,4 +208,4 @@ def divisibility_witness(t: PPT) -> DivisibilityWitness:
 
 def altitude_kappa(t: PPT) -> Fraction:
     """Altitude to the hypotenuse, a*b/c, in lowest terms."""
-    return Fraction(t.a * t.b, t.c)
+    return _proven_fraction(t.a * t.b, operator.index(t.c))  # c is prime to ab; index() gives Fraction's plain int

@@ -17,6 +17,7 @@ import io
 import json
 import pathlib
 
+from pptalgebra import cli
 from pptalgebra.cli import run
 from test_cli import AGREEMENT_CASES, DOMAIN_ERRORS
 
@@ -43,6 +44,21 @@ def test_cli_output_matches_goldens():
     goldens = {tuple(record["argv"]): record for record in json.loads(GOLDENS.read_text())}
     argvs = _argvs()
     assert sorted(goldens) == sorted(map(tuple, argvs)), "argv list changed: rewrite cli_goldens.json"
+    differing = [" ".join(argv) for argv in argvs if _outcome(argv) != goldens[tuple(argv)]]
+    assert not differing, f"output differs from the goldens for: {differing}"
+
+
+def test_json_requests_render_no_text(monkeypatch):
+    # A --json request renders its values once, as JSON: with the text renderers made to fail, each still
+    # matches its golden, errors and exit codes included.
+    def refuse(*args):
+        raise AssertionError("a --json request rendered text")
+
+    monkeypatch.setattr(cli, "_text", refuse)
+    monkeypatch.setattr(cli, "_lines", refuse)
+    goldens = {tuple(record["argv"]): record for record in json.loads(GOLDENS.read_text())}
+    argvs = [argv for argv in _argvs() if argv[-1] == "--json"]
+    assert len(argvs) == len(goldens) // 2
     differing = [" ".join(argv) for argv in argvs if _outcome(argv) != goldens[tuple(argv)]]
     assert not differing, f"output differs from the goldens for: {differing}"
 

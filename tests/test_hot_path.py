@@ -15,9 +15,13 @@ from pptalgebra import (
     DerivativeKind,
     Family,
     FamilyLine,
+    IntegerSquareScale,
     KeySequence,
     PathCode,
     QuadraticSurd,
+    Radii,
+    SquarePair,
+    altitude_kappa,
     anti_derivative,
     children,
     corollary_generators,
@@ -27,11 +31,16 @@ from pptalgebra import (
     family_generator,
     family_member,
     generators_of,
+    inscribed_squares,
+    integer_square_scale,
     is_derivative,
     iter_by_hypotenuse,
     key_sequence_of,
     locate,
+    major_derivative,
     make_ppt,
+    radii,
+    reciprocal_triple,
     triple_from_key,
     triple_from_primary,
     triple_from_secondary,
@@ -39,7 +48,7 @@ from pptalgebra import (
 )
 from pptalgebra import symphonic
 from pptalgebra.generators import _generator_pair
-from pptalgebra.triple_core import _proven, _proven_fraction, _proven_ppt
+from pptalgebra.triple_core import _proven, _proven_fraction
 
 
 @st.composite
@@ -267,7 +276,7 @@ def anti_derivative_by_preimage(t: PPT, kind: DerivativeKind) -> AntiDerivative:
         roots, integral = (_proven(QuadraticSurd, u, disc, 2, 1), _proven(QuadraticSurd, u, disc, 2, -1)), None
     else:
         x, y = (u + m) // 2, abs(u - m) // 2
-        integral = _proven_ppt(x, y, hyp) if x % 2 else _proven_ppt(y, x, hyp)
+        integral = _proven(PPT, x, y, hyp) if x % 2 else _proven(PPT, y, x, hyp)
         roots = (_proven(QuadraticSurd, (u + m) // 2, 0, 1, 1), _proven(QuadraticSurd, (u - m) // 2, 0, 1, 1))
     return AntiDerivative(kind, roots, hyp, integral)
 
@@ -400,3 +409,88 @@ def test_derive_generator_errors_match_the_triple_route():
     for f in bad:
         for kind in DerivativeKind:
             assert _error(derive_generator, f, kind) == _error(derive_generator_by_triple, f, kind)
+
+
+def squares_by_gcd(t: PPT) -> tuple:
+    """inscribed_squares, reciprocal_triple, integer_square_scale and altitude_kappa as Fraction's gcd and
+    math.lcm reduce them; the oracle for their closed forms in lowest terms."""
+    a, b, c = t.sides()
+    h, s = Fraction(a * b, a + b), Fraction(a * b * c, a * b + c * c)
+    lam = math.lcm(h.denominator, s.denominator)
+    scale = IntegerSquareScale(lam, (lam * a, lam * b, lam * c), int(lam * h), int(lam * s))
+    return SquarePair(h, s), (1 / h, Fraction(1, c), 1 / s), scale, Fraction(a * b, c)
+
+
+def _values(squares: SquarePair, reciprocals: tuple, scale: IntegerSquareScale, kappa: Fraction) -> list:
+    return [squares.h, squares.s, *reciprocals, scale.scale, *scale.scaled, scale.h, scale.s, kappa]
+
+
+def _terms(x) -> tuple:
+    # The type of an int or a Fraction, and its terms with their types: its ==, hash, repr and str follow from these.
+    n, d = x.as_integer_ratio()
+    return type(x), type(n), type(d), n, d
+
+
+def _seen(x) -> tuple:
+    # All a caller sees of an int or a Fraction.
+    return *_terms(x), x, hash(x), repr(x), str(x)
+
+
+def _assert_squares_match_the_gcd_route(t: PPT, seen=_seen) -> None:
+    got = inscribed_squares(t), reciprocal_triple(t), integer_square_scale(t), altitude_kappa(t)
+    assert list(map(seen, _values(*got))) == list(map(seen, _values(*squares_by_gcd(t))))
+    assert all(type(f) is Fraction for f in (got[0].h, got[0].s, *got[1], got[3]))
+    # key_sequence_of and radii build their records unchecked; the checked constructors accept the same fields.
+    key = key_sequence_of(t)
+    r = radii(key)
+    assert key == KeySequence(key.q2, key.q1, key.p1, key.p2) and r == Radii(r.r1, r.r2, r.r3, r.r4)
+    for kind in DerivativeKind:
+        if is_derivative(t, kind) is not None:
+            for root in anti_derivative(t, kind).roots:
+                assert seen(root.as_fraction()) == seen(Fraction(root.u, root.v))
+                assert str(root) == str(Fraction(root.u, root.v))
+
+
+def test_squares_match_the_gcd_route_by_hypotenuse(by_hypotenuse):
+    for t in by_hypotenuse:
+        _assert_squares_match_the_gcd_route(t, _terms)
+
+
+def test_squares_match_the_gcd_route_on_big_triples(big_triples):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for t in big_triples:
+            _assert_squares_match_the_gcd_route(t)
+            key = key_sequence_of(t)
+            _assert_same_as_checked(key)
+            _assert_same_as_checked(radii(key))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_rational_surds_give_the_reduced_fraction(same_fraction):
+    for surd in QuadraticSurd(1, 49, 2, -1), QuadraticSurd(6, 0, -4), QuadraticSurd(0, 0, 5), QuadraticSurd(7, 9, 1):
+        same_fraction(surd.as_fraction(), Fraction(surd.u, surd.v))
+        assert str(surd) == str(Fraction(surd.u, surd.v))
+
+
+def test_squares_of_int_subclass_sides_hold_plain_ints():
+    # PPT accepts sides of an int subclass; the closed forms then hold plain ints, as the gcd route's Fractions do.
+    class Side(int):
+        pass
+
+    t = PPT(Side(3), Side(4), Side(5))
+    got = inscribed_squares(t), reciprocal_triple(t), integer_square_scale(t), altitude_kappa(t)
+    assert list(map(_seen, _values(*got))) == list(map(_seen, _values(*squares_by_gcd(t))))
+
+
+@given(primary_pair())
+def test_squares_satisfy_the_reciprocal_identity_on_drawn_generators(pair):
+    t = triple_from_primary(Fraction(*pair))
+    a, b, c = t.sides()
+    sq, scale = inscribed_squares(t), integer_square_scale(t)
+    assert 1 / Fraction(c * c) + 1 / sq.h**2 == 1 / sq.s**2
+    assert tuple(x * a * b * c for x in reciprocal_triple(t)) == major_derivative(t).sides()
+    assert (scale.h, scale.s) == (scale.scale * sq.h, scale.scale * sq.s)
+    assert scale.scaled == tuple(scale.scale * side for side in (a, b, c))
