@@ -14,7 +14,6 @@ import re
 from collections.abc import Iterable, Iterator
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
 
 from .triple_core import PPT, TripleError, _assign, _proven, _proven_fraction, _record, _set_a, _set_b, _set_c, _shown
 from .generators import _generator_pair, _primary_pair, _primary_triple, _proper_pair, triple_from_primary
@@ -321,18 +320,18 @@ def apply_path(f: Fraction, code: PathCode) -> Fraction:
     return _proven_fraction(a * q + b * p, c * q + d * p)
 
 
-def _levels(depth: int) -> Iterator[list[tuple[int, int]]]:
-    # Generator pairs of levels 0..depth, left to right; q/p has the children (q, p + 2q), (p, 2p + q), (p, 2p - q).
-    pairs = [(1, 2)]
-    yield pairs
-    for _ in range(depth):
-        pairs = [child for q, p in pairs for child in ((q, p + 2 * q), (p, 2 * p + q), (p, 2 * p - q))]
-        yield pairs
+def _level_pairs(n: int) -> Iterator[tuple[int, int]]:
+    # Generator pairs of level n, left to right; q/p has the children (q, p + 2q), (p, 2p + q), (p, 2p - q).
+    # One generator expression per level, each over the one above, so only one pending pair per level is held.
+    pairs: Iterator[tuple[int, int]] = iter(((1, 2),))
+    for _ in range(n):
+        pairs = (child for q, p in pairs for child in ((q, p + 2 * q), (p, 2 * p + q), (p, 2 * p - q)))
+    return pairs
 
 
 def _child_triples(parents: Iterable[tuple[int, int]]) -> Iterator[PPT]:
     # The A, B and C child triples of each pair, in order.  This loop and iter_by_hypotenuse copy the child map of
-    # _levels, the sides of _primary_triple and _proven(PPT, ...) through PPT's slot setters, to save a Python call
+    # _level_pairs, the sides of _primary_triple and _proven(PPT, ...) through PPT's slot setters, to save a Python call
     # per triple: a change to any of those three must be made in both copies too.
     for q, p in parents:
         qq, pp = q * q, p * p
@@ -354,10 +353,8 @@ def enumerate_level(n: int) -> list[PPT]:
     """All 3^n triples of tree level n, in left-to-right order."""
     if n < 0:
         raise ValueError(f"tree level must be nonnegative, got {_shown(n, 'integer')}")
-    for parents in _levels(n - 1):
-        pass
-    # The triples of level n straight from the pairs of level n - 1, so that no list of level-n pairs is built.
-    return list(_child_triples(parents)) if n else [_primary_triple(1, 2)]
+    # The triples of level n straight from the streamed pairs of level n - 1: no list of pairs is built.
+    return list(_child_triples(_level_pairs(n - 1))) if n else [_primary_triple(1, 2)]
 
 
 def walk(max_depth: int) -> Iterator[PPT]:
@@ -365,8 +362,9 @@ def walk(max_depth: int) -> Iterator[PPT]:
     if max_depth < 0:
         raise ValueError(f"depth must be nonnegative, got {_shown(max_depth, 'integer')}")
     yield _primary_triple(1, 2)
-    for parents in islice(_levels(max_depth), max_depth):
-        yield from _child_triples(parents)
+    # Each level streams from the root again: about 1.5 times the pair steps, with O(depth) pairs held.
+    for depth in range(max_depth):
+        yield from _child_triples(_level_pairs(depth))
 
 
 def iter_by_hypotenuse(bound: int) -> Iterator[PPT]:
@@ -386,7 +384,8 @@ def iter_by_hypotenuse(bound: int) -> Iterator[PPT]:
         _set_b(t, b)
         _set_c(t, pp + qq)
         yield t
-        # Push A, B, C.  B's hypotenuse is C's plus (2p + q)^2 - (2p - q)^2 = 8pq = 4b: B waits on C.
+        # Push A, B, C by the child map of _level_pairs.
+        # B's hypotenuse is C's plus (2p + q)^2 - (2p - q)^2 = 8pq = 4b: B waits on C.
         r = p + 2 * q
         if qq + r * r <= bound:
             stack.append((q, r))

@@ -3,7 +3,9 @@
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -707,6 +709,55 @@ def test_levels_are_the_last_levels_of_walk():
         assert enumerate_level(depth) == level
         assert list(walk(depth))[-3**depth :] == level
         keys = [child for key in keys for child in key_children(key)]
+
+
+def pairs_by_lists(n: int) -> list[tuple[int, int]]:
+    """Level n's generator pairs, one list per level; the oracle for _level_pairs()."""
+    pairs = [(1, 2)]
+    for _ in range(n):
+        pairs = [child for q, p in pairs for child in ((q, p + 2 * q), (p, 2 * p + q), (p, 2 * p - q))]
+    return pairs
+
+
+def test_level_pairs_match_the_list_per_level_construction():
+    for n in range(10):
+        assert list(tree._level_pairs(n)) == pairs_by_lists(n)
+
+
+def traced(run):
+    """(result of run(), bytes it still holds, peak bytes while it ran), counted from the traced memory at the start."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = run()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, held - base, peak - base
+
+
+def test_enumerate_level_holds_nothing_beside_its_result():
+    level, held, peak = traced(lambda: enumerate_level(9))
+    assert len(level) == 3**9
+    assert peak <= 1.05 * held
+
+
+def test_streamed_levels_hold_o_depth_pairs():
+    # A full traced walk(11) takes seconds, so walk(11) is traced across its last level boundary: there a walk
+    # that lists each level builds the 59,049 pairs of level 10 (several MB) before its first level-11 triple.
+    stream = walk(11)
+    for _ in islice(stream, (3**11 - 1) // 2 - 1):  # all but the last triple of levels 0 to 10
+        pass
+    _, _, peak = traced(lambda: sum(1 for _ in islice(stream, 10_000)))
+    assert peak < 1 << 20
+    # The pairs of level 10 in full: only one pending pair per level is held.
+    count, _, peak = traced(lambda: sum(1 for _ in tree._level_pairs(10)))
+    assert count == 3**10
+    assert peak < 1 << 16
 
 
 def test_level_sizes_and_uniqueness():
