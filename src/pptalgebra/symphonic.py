@@ -226,7 +226,8 @@ def _discriminant(t: PPT, kind: DerivativeKind) -> tuple[int, int | None]:
     # when disc is a square, else None.  With Q/P the primary generator,
     # t = (P^2 - Q^2, 2PQ, P^2 + Q^2), u = P +- Q and disc = u^2 -+ 8PQ.  Since
     # (P +- Q)^2 = c +- b and 8PQ = 4b, disc = c -+ 3b, read off the sides with no pair.
-    # c is odd and b even, so disc is odd: never 0, and so never 0^2.
+    # c is odd and b even, so disc is odd: never 0, and so never 0^2.  is_derivative copies this rule and its
+    # square test, to decide a miss in one frame: a change here must be made there too.
     if kind is _MAJOR:
         disc = t.c - 3 * t.b
     elif kind is _MINOR:
@@ -270,7 +271,16 @@ def is_derivative(t: PPT, kind: DerivativeKind) -> PPT | None:
     """The integral anti-derivative of t under `kind`, or None when there is none.
 
     A miss is decided from the sides alone, reading neither the generator pair nor any surd."""
-    return None if _discriminant(t, kind)[1] is None else anti_derivative(t, kind).integral
+    # _discriminant's rule and square test, inline so that a miss takes no second frame: a change to either copy
+    # must be made in both.  Only a hit calls anti_derivative.
+    if kind is _MAJOR:
+        disc = t.c - 3 * t.b
+    elif kind is _MINOR:
+        disc = t.c + 3 * t.b
+    else:
+        raise TypeError(f"expected a DerivativeKind, got {_shown(kind, 'integer', repr)}")
+    m = math.isqrt(disc) if disc > 0 else 0
+    return None if m * m != disc else anti_derivative(t, kind).integral
 
 
 def factor_class_transition(t: PPT) -> tuple[TClass, TClass]:

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator
 from enum import Enum
 from fractions import Fraction
 
-from .triple_core import PPT, TripleError, _assign, _proven, _proven_fraction, _record, _set_a, _set_b, _set_c, _shown
+from .triple_core import PPT, TripleError, _OpenPPT, _assign, _proven, _proven_fraction, _record, _shown
 from .generators import _generator_pair, _primary_pair, _primary_triple, _proper_pair, triple_from_primary
 from .symphonic import _MAJOR, _MINOR, DerivativeKind, _derivative_pair
 
@@ -331,16 +331,19 @@ def _level_pairs(n: int) -> Iterator[tuple[int, int]]:
 
 def _child_triples(parents: Iterable[tuple[int, int]]) -> Iterator[PPT]:
     # The A, B and C child triples of each pair, in order.  This loop and iter_by_hypotenuse copy the child map of
-    # _level_pairs, the sides of _primary_triple and _proven(PPT, ...) through PPT's slot setters, to save a Python call
-    # per triple: a change to any of those three must be made in both copies too.
+    # _level_pairs, the sides of _primary_triple and _proven(PPT, ...), to save a Python call per triple: a change to
+    # any of those three must be made in both copies too.  The sides go in by plain slot stores on the layout twin
+    # _OpenPPT, which then becomes a PPT, so every triple yielded is exactly a PPT.
+    new = object.__new__
     for q, p in parents:
         qq, pp = q * q, p * p
         for cq, cqq, cp in (q, qq, p + 2 * q), (p, pp, 2 * p + q), (p, pp, 2 * p - q):
             rr = cp * cp
-            t = object.__new__(PPT)
-            _set_a(t, rr - cqq)
-            _set_b(t, 2 * cq * cp)
-            _set_c(t, rr + cqq)
+            t = new(_OpenPPT)
+            t.a = rr - cqq
+            t.b = 2 * cq * cp
+            t.c = rr + cqq
+            t.__class__ = PPT
             yield t
 
 
@@ -375,14 +378,16 @@ def iter_by_hypotenuse(bound: int) -> Iterator[PPT]:
     """
     if bound < 5:
         return
+    new = object.__new__
     stack = [(1, 2)]
     while stack:
         q, p = stack.pop()
-        qq, pp, b = q * q, p * p, 2 * p * q  # _primary_triple(q, p), with no call
-        t = object.__new__(PPT)
-        _set_a(t, pp - qq)
-        _set_b(t, b)
-        _set_c(t, pp + qq)
+        qq, pp, b = q * q, p * p, 2 * p * q  # _primary_triple(q, p), with no call, built as in _child_triples
+        t = new(_OpenPPT)
+        t.a = pp - qq
+        t.b = b
+        t.c = pp + qq
+        t.__class__ = PPT
         yield t
         # Push A, B, C by the child map of _level_pairs.
         # B's hypotenuse is C's plus (2p + q)^2 - (2p - q)^2 = 8pq = 4b: B waits on C.

@@ -162,7 +162,10 @@ def _proven(cls: type, *values: object):
     return record
 
 
-_set_a, _set_b, _set_c = (getattr(PPT, name).__set__ for name in PPT.__match_args__)
+class _OpenPPT:
+    # PPT's slots without its frozen __setattr__.  A hot path stores proven sides on one of these by plain
+    # attribute stores, then sets its __class__ to PPT, which CPython allows between types of the same slots.
+    __slots__ = PPT.__match_args__
 
 
 def _proven_fraction(q: int, p: int) -> Fraction:

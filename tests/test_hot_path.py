@@ -1,6 +1,10 @@
 """The private integer hot path: the generator pair and triples built without re-checking."""
 
+import copy
+import gc
+import inspect
 import math
+import pickle
 import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -48,7 +52,7 @@ from pptalgebra import (
 )
 from pptalgebra import symphonic
 from pptalgebra.generators import _generator_pair
-from pptalgebra.triple_core import _proven, _proven_fraction
+from pptalgebra.triple_core import _OpenPPT, _proven, _proven_fraction
 
 
 @st.composite
@@ -171,6 +175,8 @@ def _assert_same_as_checked(built):
     assert sys.getsizeof(built) == sys.getsizeof(checked)
     with pytest.raises(FrozenInstanceError):
         setattr(built, cls.__match_args__[0], fields[0])
+    with pytest.raises(FrozenInstanceError):
+        delattr(built, cls.__match_args__[0])
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -198,6 +204,69 @@ def test_proven_triples_equal_checked_ones(by_hypotenuse):
     for t in built:
         assert type(t) is PPT
         _assert_same_as_checked(t)
+
+
+def test_tree_triples_copy_and_pickle_as_ppts():
+    # The tree stores a triple's sides on the slot-for-slot twin _OpenPPT, then makes it a PPT: what it yields
+    # copies and pickles as a PPT.  test_proven_triples_equal_checked_ones compares the same triples with checked ones.
+    assert _OpenPPT.__slots__ == PPT.__slots__
+    built = list(iter_by_hypotenuse(2000)) + enumerate_level(5) + list(walk(4)) + list(children(PPT(3, 4, 5)))
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    for t in built:
+        for twin in [copy.copy(t), copy.deepcopy(t), *(pickle.loads(pickle.dumps(t, n)) for n in protocols)]:
+            assert type(twin) is PPT
+            assert twin == t and hash(twin) == hash(t) and repr(twin) == repr(t)
+
+
+def test_no_layout_twin_outlives_a_sweep_pass():
+    # Every _OpenPPT the tree makes becomes a PPT before it is yielded, so a pass leaves none behind.
+    kept = list(iter_by_hypotenuse(10**5))
+    kinds = [type(o) for o in gc.get_objects()]
+    assert kinds.count(PPT) >= len(kept) == 15919
+    assert _OpenPPT not in kinds
+
+
+def _python_calls(call, *args) -> list[str]:
+    # The names of the package's Python frames that call(*args) starts, in order, leaving out generator frames:
+    # the profiler reports each resumption of a generator as a call.  Calls into C are not counted, nor frames
+    # of other modules, such as a gc callback a collection runs.
+    names: list[str] = []
+
+    def profile(frame, event, arg):
+        if event == "call" and not frame.f_code.co_flags & inspect.CO_GENERATOR:
+            if frame.f_globals.get("__name__", "").partition(".")[0] == "pptalgebra":
+                names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        call(*args)
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+def test_is_derivative_decides_a_miss_in_one_frame():
+    misses = 0
+    for t in iter_by_hypotenuse(2000):
+        for kind in DerivativeKind:
+            if is_derivative(t, kind) is None:
+                misses += 1
+                assert _python_calls(is_derivative, t, kind) == ["is_derivative"]
+            else:
+                assert "anti_derivative" in _python_calls(is_derivative, t, kind)
+    assert misses > 0
+
+
+def test_tree_streams_make_no_python_call_per_triple():
+    # The calls a stream makes do not grow with the triples it yields.
+    def drain(stream, n):
+        for _ in stream(n):
+            pass
+
+    for stream, small, large in (iter_by_hypotenuse, 10**3, 10**4), (enumerate_level, 4, 7):
+        calls = _python_calls(drain, stream, small)
+        assert _python_calls(drain, stream, large) == calls
+        assert calls == ([] if stream is iter_by_hypotenuse else ["enumerate_level", "_level_pairs"])
 
 
 def _assert_roots_equal_checked_surds(t: PPT) -> int:

@@ -463,7 +463,8 @@ def test_records_pickled_before_slots_still_load():
 
 def test_slotted_layout():
     # Every record is slotted: no instance dict, one slot per field in declaration order, so a record
-    # built by _proven or the tree's inline slot setters is the size of one built by the checked constructor.
+    # built by _proven or by the tree's slot stores on its layout twin is the size of one built by the checked
+    # constructor.
     for _, new in _pairs():
         assert not hasattr(new, "__dict__")
         assert type(new).__slots__ == type(new).__match_args__

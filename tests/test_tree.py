@@ -980,9 +980,13 @@ def test_closed_forms_are_maximal_runs():
 
 def test_kinds_and_lines_of_the_wrong_type_raise_type_error():
     t, fam = make_ppt(3, 4, 5), Family(FamilyLine.FERMAT, 3)
+    # is_derivative checks the kind before its square test: t misses both kinds, each derivative hits one.
+    hits = [derivative(t, kind) for kind in DerivativeKind]
+    assert [is_derivative(hit, kind) for hit, kind in zip(hits, DerivativeKind)] == [t, t]
     calls = [
         (derivative, t), (corollary_generators, t), (anti_derivative, t), (is_derivative, t),
         (derive_generator, Fraction(1, 2)), (derivative_location, fam),
+        *((call, hit) for hit in hits for call in (anti_derivative, is_derivative)),
     ]
     for bad in ("major", None, 1):
         for call, arg in calls:
