@@ -14,6 +14,7 @@ import re
 from collections.abc import Iterable, Iterator
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 from .triple_core import PPT, TripleError, _OpenPPT, _assign, _proven, _proven_fraction, _record, _shown
 from .generators import _generator_pair, _primary_pair, _primary_triple, _proper_pair, triple_from_primary
@@ -150,12 +151,11 @@ def step(f: Fraction, letter: str) -> Fraction:
 
 
 def _up(q: int, p: int) -> tuple[str, int, int, int]:
-    # The maximal run ending at q/p, for 0 < q < p: (letter, count, parent q,
-    # parent p).  d = p - 2q picks the letter: d > q means A, 0 < d <= q means
-    # B, else C.  An A run subtracts 2q from p with q fixed and a C run
-    # subtracts the invariant p - q from both, so their lengths come from one
-    # division.  A B step shrinks the pair geometrically, so B comes one letter
-    # at a time; locate batches B runs by regressing small top bits instead.
+    # The run ending at q/p, for 0 < q < p: (letter, count, parent q, parent p), a
+    # maximal A or C run or one B letter.  d = p - 2q picks the letter: d > q means
+    # A, 0 < d <= q means B, else C.  An A run subtracts 2q from p with q fixed and a
+    # C run subtracts the invariant p - q from both, so their lengths come from one
+    # division.  _regress copies these steps inline: change both or neither.
     d = p - 2 * q
     if d > q:
         count = (p - q - 1) // (2 * q)
@@ -167,21 +167,52 @@ def _up(q: int, p: int) -> tuple[str, int, int, int]:
     return "C", count, q - count * delta, p - count * delta
 
 
-def _regress(q: int, p: int, runs: list[tuple[str, int]], floor: int = 0) -> tuple[int, int]:
+def _regress(q: int, p: int, runs: list[tuple[str, int]], floor: int = 0,
+             track: bool = False) -> tuple[int, int, tuple[int, int, int, int]]:
     # Regress q/p by maximal runs while 0 < q < p, a step takes letters and p stays
-    # at or above floor; append the runs, bottom first, to `runs`, merging equal
-    # letters (B comes one at a time), and return the pair reached.  An exact pair
-    # stops at the root 1/2 (a step of no letters) or at 1/1, reached only from 1/3.
+    # at or above floor (an A or C run is refused whole, a B run is cut letter by
+    # letter); append the runs, bottom first, to `runs`, merging equal letters.
+    # Returns the pair reached and, if track, the matrix that sends (q, p) to it,
+    # else the identity: an A or C run is a row operation on it, a B run one product
+    # by B^-k, which is (-1)^k times the adjugate of the symmetric B^k.  A chunk's
+    # matrix stays small; at full size it would grow like the pair and cost about
+    # as much as the regression.  An exact pair stops at the root 1/2 (a step of no
+    # letters) or at 1/1, reached only from 1/3.
+    w, x, y, z = 1, 0, 0, 1
     while 0 < q < p:
-        letter, count, q_up, p_up = _up(q, p)
-        if count == 0 or p_up < floor:
-            break
-        q, p = q_up, p_up
+        d = p - 2 * q
+        if d > q:
+            count = (p - q - 1) // (2 * q)
+            if (p_up := p - 2 * count * q) < floor:
+                break
+            letter, p = "A", p_up
+            if track:
+                y, z = y - 2 * count * w, z - 2 * count * x
+        elif d > 0:
+            if q < floor:
+                break
+            letter, count, q, p = "B", 1, d, q
+            while 0 < (d := p - 2 * q) <= q and q >= floor:
+                count, q, p = count + 1, d, q
+            if track:
+                b0, b1, _, b3 = _B_POWERS[count] if count < 65 else _b_power(count)
+                b0, b1, b3 = (-b0, b1, -b3) if count & 1 else (b0, -b1, b3)
+                w, x, y, z = b3 * w + b1 * y, b3 * x + b1 * z, b1 * w + b0 * y, b1 * x + b0 * z
+        else:
+            delta = p - q
+            count = (q - 1) // delta
+            taken = count * delta
+            if count == 0 or p - taken < floor:
+                break
+            letter, q, p = "C", q - taken, p - taken
+            if track:
+                dw, dx = count * (y - w), count * (z - x)
+                w, x, y, z = w - dw, x - dx, y - dw, z - dx
         if runs and runs[-1][0] == letter:
             runs[-1] = (letter, runs[-1][1] + count)
         else:
             runs.append((letter, count))
-    return q, p
+    return q, p, (w, x, y, z)
 
 
 # Generators whose p has more bits than this regress in chunks.  Below it a
@@ -203,13 +234,8 @@ def _top_chunk(q: int, p: int) -> tuple[list[tuple[str, int]], int, int]:
     # every letter above it.  A wrong truncated guess only fails that test.
     shift = p.bit_length() - _TOP_BITS
     runs: list[tuple[str, int]] = []
-    _regress(q >> shift, p >> shift, runs, _TOP_FLOOR)
-    if not runs:
-        return runs, 0, 0
-    # The runs' forward matrix is unimodular, so its inverse is det * adjugate.
-    w, x, y, z = _path_matrix(reversed(runs))
-    det = w * z - x * y
-    return runs, det * (z * q - x * p), det * (w * p - y * q)
+    w, x, y, z = _regress(q >> shift, p >> shift, runs, _TOP_FLOOR, True)[2]
+    return runs, w * q + x * p, y * q + z * p
 
 
 def parent(f: Fraction) -> tuple[Fraction, str] | Root:
@@ -231,9 +257,9 @@ def locate(f: Fraction) -> PathCode:
     """Path code from the root 1/2 down to the generator f.
 
     Generators past a few thousand bits regress in chunks: a kilobit of top
-    bits is regressed in small ints, and the chunk's matrix is applied to the
-    full pair once, so each full-size pass takes off about 400 bits rather
-    than one run or one B letter.
+    bits is regressed in small ints, which also yields the matrix that undoes
+    its runs, and that matrix is applied to the full pair once, so each
+    full-size pass takes off about 400 bits rather than one run.
     """
     q, p = _proper_pair(f)
     runs: list[tuple[str, int]] = []  # maximal, bottom first
@@ -247,7 +273,7 @@ def locate(f: Fraction) -> PathCode:
             runs.pop()
         runs += chunk
         q, p = q_up, p_up
-    q, p = _regress(q, p, runs)
+    q, p, _ = _regress(q, p, runs)
     if p != 2:
         raise NotInPrimaryTree(f"{_shown(f, 'generator')} regresses to 1/3; it generates no triple")
     return _proven(PathCode, tuple(reversed(runs)))
@@ -276,6 +302,10 @@ def _b_power(count: int) -> tuple[int, int, int, int]:
         base = _mat_mul(base, base)
 
 
+# B^k for 0 <= k <= 64, so that a short B run costs a lookup and not a squaring.
+_B_POWERS = tuple(accumulate(repeat((0, 1, 1, 2), 64), _mat_mul, initial=(1, 0, 0, 1)))
+
+
 # A leaf product whose last row passes this bound goes onto the binary-splitting stack.
 _LEAF_MAX = 1 << 384
 
@@ -283,11 +313,11 @@ _LEAF_MAX = 1 << 384
 def _path_matrix(runs: Iterable[tuple[str, int]]) -> tuple[int, int, int, int]:
     # The product of the run matrices, later runs on the left.  Runs multiply in
     # place into a small leaf (w, x; y, z): A^k adds 2k row 0 to row 1, C^k adds
-    # k (row 1 - row 0) to both rows, one B maps the rows (r0, r1) to (r1, r0 + 2 r1)
-    # and longer B runs multiply by _b_power.  Each maps the cone 0 <= q <= p into
-    # itself, so y and z bound all four entries within a bit.  Full leaves multiply
-    # by binary splitting: a stack merges products of equally many leaves, so big
-    # products pair numbers of like size and only O(log runs) are held at once.
+    # k (row 1 - row 0) to both rows, and a B run multiplies by B^count, read from
+    # _B_POWERS when short.  Each maps the cone 0 <= q <= p into itself, so y and z
+    # bound all four entries within a bit.  Full leaves multiply by binary
+    # splitting: a stack merges products of equally many leaves, so big products
+    # pair numbers of like size and only O(log runs) are held at once.
     stack: list[tuple[tuple[int, int, int, int], int]] = []
     w, x, y, z = 1, 0, 0, 1
     for letter, count in runs:
@@ -296,10 +326,9 @@ def _path_matrix(runs: Iterable[tuple[str, int]]) -> tuple[int, int, int, int]:
         elif letter == "C":
             dw, dx = count * (y - w), count * (z - x)
             w, x, y, z = w + dw, x + dx, y + dw, z + dx
-        elif count == 1:
-            w, x, y, z = y, z, w + 2 * y, x + 2 * z
         else:
-            w, x, y, z = _mat_mul(_b_power(count), (w, x, y, z))
+            b0, b1, _, b3 = _B_POWERS[count] if count < 65 else _b_power(count)
+            w, x, y, z = b0 * w + b1 * y, b0 * x + b1 * z, b1 * w + b3 * y, b1 * x + b3 * z
         if y > _LEAF_MAX or z > _LEAF_MAX:
             m, size = (w, x, y, z), 1
             while stack and stack[-1][1] == size:

@@ -126,7 +126,7 @@ class PPT:
         for side in (a, b, c):
             if not isinstance(side, int) or side <= 0:
                 raise TripleError(f"sides must be positive integers, got {_shown(side, 'integer', repr)}")
-        if a * a + b * b != c * c:
+        if (c - a) * (c + a) != b * b:  # a^2 + b^2 = c^2 with two products, not three squares
             problem, error = "{}^2 + {}^2 != {}^2", NotATriple
         elif math.gcd(a, b) != 1:
             problem, error = "legs {}, {} share a common factor", NotPrimitive

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from pptalgebra import (
     PPT,
+    ROOT_GENERATOR,
     AntiDerivative,
     DerivativeKind,
     Family,
@@ -27,6 +28,7 @@ from pptalgebra import (
     SquarePair,
     altitude_kappa,
     anti_derivative,
+    apply_path,
     children,
     corollary_generators,
     derivative,
@@ -50,7 +52,7 @@ from pptalgebra import (
     triple_from_secondary,
     walk,
 )
-from pptalgebra import symphonic
+from pptalgebra import symphonic, tree
 from pptalgebra.generators import _generator_pair
 from pptalgebra.triple_core import _OpenPPT, _proven, _proven_fraction
 
@@ -267,6 +269,16 @@ def test_tree_streams_make_no_python_call_per_triple():
         calls = _python_calls(drain, stream, small)
         assert _python_calls(drain, stream, large) == calls
         assert calls == ([] if stream is iter_by_hypotenuse else ["enumerate_level", "_level_pairs"])
+
+
+def test_locate_takes_b_runs_whole():
+    # Below the chunk size, locate makes a bounded number of Python calls plus O(log k) for a B run of k letters:
+    # one B letter per call would make over 2000 calls at k = 1000.
+    for k in (10, 100, 1000):
+        f = apply_path(ROOT_GENERATOR, PathCode.parse(f"A B^{k} C B^{k}"))
+        assert f.denominator.bit_length() < tree._CHUNK_FROM_BITS
+        assert locate(f) == PathCode.parse(f"A B^{k} C B^{k}")
+        assert len(_python_calls(locate, f)) <= 10 + 4 * k.bit_length()
 
 
 def _assert_roots_equal_checked_surds(t: PPT) -> int:

@@ -639,6 +639,118 @@ def test_large_secondary_tree_generator_is_not_in_primary_tree(chunks):
     assert any(accepted for _, accepted in chunks)
 
 
+# ------------------------------------------------------- regression engine
+
+
+def regress_by_letters(q: int, p: int, runs: list, floor: int, budget: int = 10**5):
+    """One letter per step, B cut at the floor letter by letter, an A or C run refused whole when it would end
+    below the floor; the oracle for tree._regress.  Appends the runs, merged, and returns the pair reached, or
+    None past `budget` letters."""
+    while 0 < q < p:
+        d = p - 2 * q
+        letter = "A" if d > q else "B" if d > 0 else "C"
+        q_up, p_up, count = q, p, 0
+        while count < budget:
+            d = p_up - 2 * q_up
+            if letter == "A" and d > q_up:
+                p_up = d
+            elif letter == "B" and 0 < d <= q_up and q_up >= floor:
+                q_up, p_up = d, q_up
+            elif letter == "C" and d < 0:
+                q_up, p_up = -d, q_up
+            else:
+                break
+            count += 1
+        if count == budget:
+            return None
+        if count == 0 or p_up < floor:
+            break
+        budget -= count
+        q, p = q_up, p_up
+        if runs and runs[-1][0] == letter:
+            runs[-1] = (letter, runs[-1][1] + count)
+        else:
+            runs.append((letter, count))
+    return q, p
+
+
+def assert_regress_matches_oracles(q: int, p: int, floor: int, prefix: list) -> None:
+    # The pair and runs of the letter-at-a-time regression, from either a fresh or a filled run list; with track,
+    # the matrix that sends (q, p) to the pair, which is det * adjugate of the forward product of the runs.
+    want_runs = list(prefix)
+    want = regress_by_letters(q, p, want_runs, floor)
+    assume(want is not None)
+    got_runs = list(prefix)
+    assert tree._regress(q, p, got_runs, floor) == (*want, (1, 0, 0, 1))
+    assert got_runs == want_runs
+    taken: list = []
+    want_taken: list = []
+    regress_by_letters(q, p, want_taken, floor)
+    q_up, p_up, (w, x, y, z) = tree._regress(q, p, taken, floor, True)
+    assert (q_up, p_up) == want and taken == want_taken
+    assert (w * q + x * p, y * q + z * p) == want
+    a, b, c, d = tree._path_matrix(reversed(taken))
+    det = a * d - b * c
+    assert det in (1, -1)
+    assert (w, x, y, z) == (det * d, -det * b, -det * c, det * a)
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.tuples(st.sampled_from("ABC"), st.integers(1, 40)), max_size=40),
+    st.sampled_from((Fraction(1, 2), Fraction(1, 3))),
+    st.integers(0, 16),
+    st.one_of(st.none(), st.integers(0, 300)),
+    st.lists(st.tuples(st.sampled_from("ABC"), st.integers(1, 5)), max_size=1),
+)
+def test_regress_matches_the_letter_at_a_time_regression(runs, root, shift, floor_shift, prefix):
+    # Exact pairs regress to 1/2 or 1/1; shifted ones, like a chunk's top bits, may stop at a zero-count C run.
+    f = apply_path(root, PathCode(tuple(runs)))
+    q, p = f.numerator >> shift, f.denominator >> shift
+    floor = 0 if floor_shift is None else p >> floor_shift
+    assert_regress_matches_oracles(q, p, floor, prefix)
+
+
+@settings(max_examples=20)
+@given(st.lists(st.tuples(st.sampled_from("ABC"), st.integers(1, 12)), max_size=12))
+def test_regress_stops_at_floors_on_its_path(runs):
+    # A floor equal to, or one above, the p of a node the regression passes: the top of a run, or one letter
+    # below it, which inside a B run is a node too.
+    code = PathCode(tuple(runs))
+    q, p = apply_path(ROOT_GENERATOR, code).as_integer_ratio()
+    for top in range(len(code.runs) + 1):
+        for below in range(2):
+            node = apply_path(ROOT_GENERATOR, PathCode(code.runs[:top]) + PathCode.parse("B" * below))
+            for floor in node.denominator, node.denominator + 1:
+                assert_regress_matches_oracles(q, p, floor, [])
+
+
+@settings(max_examples=10)
+@given(st.sampled_from(("mixed", "bheavy")), st.integers(0, 2**32), st.integers(2000, 20_000))
+def test_regress_matches_the_letter_at_a_time_regression_on_chunk_tops(shape, seed, bits):
+    f = apply_path(ROOT_GENERATOR, drawn_code(seed, shape, bits))
+    shift = f.denominator.bit_length() - tree._TOP_BITS
+    assert_regress_matches_oracles(f.numerator >> shift, f.denominator >> shift, tree._TOP_FLOOR, [])
+
+
+def test_regress_matrix_on_astronomical_runs():
+    # A and C runs of up to 10^30 letters, each one row operation: too long for the letter-at-a-time oracle.
+    for seed in range(5):
+        f = apply_path(ROOT_GENERATOR, drawn_code(seed, "astro", 8000))
+        q, p = f.numerator, f.denominator
+        for top, floor in ((q, p), 0), ((q >> 7000, p >> 7000), 1 << 300):
+            taken: list = []
+            q_up, p_up, (w, x, y, z) = tree._regress(*top, taken, floor, True)
+            assert (w * top[0] + x * top[1], y * top[0] + z * top[1]) == (q_up, p_up)
+            a, b, c, d = tree._path_matrix(reversed(taken))
+            assert (w, x, y, z) == tuple((a * d - b * c) * m for m in (d, -b, -c, a))
+
+
+def test_b_power_table_holds_b_powers():
+    assert tree._B_POWERS[0] == (1, 0, 0, 1)
+    assert tree._B_POWERS == tuple(map(tree._b_power, range(65)))
+
+
 # ----------------------------------------------------------------- children
 
 
