@@ -6,6 +6,11 @@ decimal strings (sides routinely exceed 64 bits), fractions are "q/p", and path 
 use the same letters/run-length format parse() accepts, so output round-trips
 losslessly.  A verb is a generator: it yields its payload, and then, only when text is
 asked for, renders the same values as text lines through _text.
+
+Each verb is declared once, by the @_verb line above its handler: its name, help and
+argument spec go into the table _VERBS, and run() calls the handler with the parsed
+arguments as keywords.  _parser builds the `ppt` parser from that table, with only the
+verb a request names, or with every verb when it names none (as for `ppt --help`).
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from itertools import accumulate
 
 from .triple_core import (
@@ -47,7 +52,7 @@ from .tree import (
 from .symphonic import (
     DerivativeKind,
     anti_derivative,
-    derivative,
+    corollary_generators,
     factor_class_transition,
     inscribed_squares,
     integer_square_scale,
@@ -89,21 +94,45 @@ def _lines(payload: dict, *keys: str) -> list[str]:
     return [f"{key.replace('_', ' ')}: {_text(payload[key])}" for key in keys or payload]
 
 
-def _cmd_info(args: argparse.Namespace) -> Iterator[dict | str]:
-    key = key_sequence_of(args.triple)
+# Each verb's handler, help and argument spec, in the order `ppt --help` lists them.  An
+# argument is the (names, options) of one add_argument call, or DerivativeKind for the
+# required choice of --major or --minor.
+_VERBS: dict[str, tuple[Callable[..., Iterator[dict | str]], str, tuple]] = {}
+
+
+def _arg(*names: str, **options) -> tuple:
+    return names, options
+
+
+_SIDES = _arg("sides", nargs=3, type=int, metavar="side", help="the three sides, any leg order")
+
+
+def _verb(name: str, help_: str, *spec: tuple) -> Callable:
+    """Enter the decorated handler in _VERBS as verb `name`, taking the arguments in `spec`."""
+
+    def declare(handler):
+        _VERBS[name] = handler, help_, spec
+        return handler
+
+    return declare
+
+
+@_verb("info", "generators, key sequence, radii, squares and class of a triple", _SIDES)
+def _cmd_info(triple: PPT) -> Iterator[dict | str]:
+    key = key_sequence_of(triple)
     r = radii(key)
-    sq = inscribed_squares(args.triple)
+    sq = inscribed_squares(triple)
     code = locate(key.primary)
     payload = {
-        "triple": args.triple,
+        "triple": triple,
         "primary_generator": key.primary,
         "secondary_generator": key.secondary,
         "key_sequence": key,
         "radii": {"r1": r.r1, "r2": r.r2, "r3": r.r3, "r4": r.r4},
-        "class": classify(args.triple),
+        "class": classify(triple),
         "harmonic_square": sq.h,
         "symphonic_square": sq.s,
-        "altitude": altitude_kappa(args.triple),
+        "altitude": altitude_kappa(triple),
         "path": code,
         "depth": code.length,
     }
@@ -111,12 +140,13 @@ def _cmd_info(args: argparse.Namespace) -> Iterator[dict | str]:
     yield from _lines(payload)
 
 
-def _cmd_derive(args: argparse.Namespace) -> Iterator[dict | str]:
-    d = derivative(args.triple, args.kind)
-    d1, d2 = generators_of(d)
+@_verb("derive", "major or minor derivative of a triple", DerivativeKind, _SIDES)
+def _cmd_derive(triple: PPT, kind: DerivativeKind) -> Iterator[dict | str]:
+    d1, d2 = corollary_generators(triple, kind)
+    d = triple_from_primary(d1)
     payload = {
-        "kind": args.kind,
-        "triple": args.triple,
+        "kind": kind,
+        "triple": triple,
         "derivative": d,
         "primary_generator": d1,
         "secondary_generator": d2,
@@ -124,30 +154,33 @@ def _cmd_derive(args: argparse.Namespace) -> Iterator[dict | str]:
         "path": locate(d1),
     }
     yield payload
-    yield f"{_text(args.triple)} --{_text(args.kind)}--> {_text(d)}"
+    yield f"{_text(triple)} --{_text(kind)}--> {_text(d)}"
     yield from _lines(payload, "primary_generator", "secondary_generator", "class", "path")
 
 
-def _cmd_antiderive(args: argparse.Namespace) -> Iterator[dict | str]:
-    anti = anti_derivative(args.triple, args.kind)
+@_verb("antiderive", "exact anti-derivative (surd roots, integral triple if any)", DerivativeKind, _SIDES)
+def _cmd_antiderive(triple: PPT, kind: DerivativeKind) -> Iterator[dict | str]:
+    anti = anti_derivative(triple, kind)
     payload = {
-        "kind": args.kind,
-        "triple": args.triple,
+        "kind": kind,
+        "triple": triple,
         "roots": anti.roots,
         "hypotenuse": anti.hypotenuse,
         "integral": anti.integral,
     }
     yield payload
-    yield f"anti-derivative ({_text(args.kind)}) of {_text(args.triple)}"
+    yield f"anti-derivative ({_text(kind)}) of {_text(triple)}"
     yield from _lines(payload, "roots", "hypotenuse", "integral")
 
 
-def _cmd_locate(args: argparse.Namespace) -> Iterator[dict | str]:
+@_verb("locate", "path code from the root to a generator or triple",
+       _arg("target", nargs="+", help='a fraction "q/p" or three sides'))
+def _cmd_locate(target: list[str]) -> Iterator[dict | str]:
     payload: dict = {}
-    if len(args.target) == 1:
-        f = parse_fraction(args.target[0])
-    elif len(args.target) == 3:
-        t = payload["triple"] = make_ppt(*(int(side) for side in args.target))
+    if len(target) == 1:
+        f = parse_fraction(target[0])
+    elif len(target) == 3:
+        t = payload["triple"] = make_ppt(*(int(side) for side in target))
         f = generators_of(t)[0]
     else:
         raise ValueError("locate takes a fraction q/p or three sides")
@@ -160,12 +193,14 @@ def _cmd_locate(args: argparse.Namespace) -> Iterator[dict | str]:
     yield from _lines(payload)
 
 
-def _cmd_path(args: argparse.Namespace) -> Iterator[dict | str]:
-    code = PathCode.parse(args.code)
-    f = apply_path(ROOT_GENERATOR, code)
+@_verb("path", "follow a path code down from the root",
+       _arg("code", help='letters like AACAA; run-length tokens like "C^16" are accepted'))
+def _cmd_path(code: str) -> Iterator[dict | str]:
+    path = PathCode.parse(code)
+    f = apply_path(ROOT_GENERATOR, path)
     payload = {
-        "path": code,
-        "length": code.length,
+        "path": path,
+        "length": path.length,
         "generator": f,
         "triple": triple_from_primary(f),
     }
@@ -173,38 +208,42 @@ def _cmd_path(args: argparse.Namespace) -> Iterator[dict | str]:
     yield from _lines(payload)
 
 
-def _cmd_children(args: argparse.Namespace) -> Iterator[dict | str]:
-    left, middle, right = children(args.triple)
+@_verb("children", "the three successors of a triple", _SIDES)
+def _cmd_children(triple: PPT) -> Iterator[dict | str]:
+    left, middle, right = children(triple)
     payload = {
-        "triple": args.triple,
+        "triple": triple,
         "left": left,
         "middle": middle,
         "right": right,
     }
     yield payload
-    yield f"children of {_text(args.triple)}"
+    yield f"children of {_text(triple)}"
     yield from (f"{key + ':':<7} {_text(payload[key])}" for key in ("left", "middle", "right"))
 
 
-def _cmd_level(args: argparse.Namespace) -> Iterator[dict | str]:
-    if args.depth > args.max_depth:
-        raise ValueError(f"level {args.depth} exceeds the cap {args.max_depth}; raise --max-depth to allow it")
-    triples = enumerate_level(args.depth)
+@_verb("level", "all triples on one tree level", _arg("depth", type=int, help="tree level (root is 0)"),
+       _arg("--max-depth", type=int, default=12, help="safety cap on the level (default 12; level n holds 3^n triples)"))
+def _cmd_level(depth: int, max_depth: int) -> Iterator[dict | str]:
+    if depth > max_depth:
+        raise ValueError(f"level {depth} exceeds the cap {max_depth}; raise --max-depth to allow it")
+    triples = enumerate_level(depth)
     payload = {
-        "level": args.depth,
+        "level": depth,
         "count": len(triples),
         "triples": triples,
     }
     yield payload
-    yield f"level {_text(args.depth)}: {_text(len(triples))} triples"
+    yield f"level {_text(depth)}: {_text(len(triples))} triples"
     yield from (f"  {_text(t)}" for t in triples)
 
 
-def _cmd_classify(args: argparse.Namespace) -> Iterator[dict | str]:
-    witness = divisibility_witness(args.triple)
-    original, derived = factor_class_transition(args.triple)
+@_verb("classify", "divisibility class and guaranteed factors", _SIDES)
+def _cmd_classify(triple: PPT) -> Iterator[dict | str]:
+    witness = divisibility_witness(triple)
+    original, derived = factor_class_transition(triple)
     payload = {
-        "triple": args.triple,
+        "triple": triple,
         "class": original,
         "three_divides": witness.three_divides,
         "four_divides": "b",
@@ -212,19 +251,20 @@ def _cmd_classify(args: argparse.Namespace) -> Iterator[dict | str]:
         "derivative_class": derived,
     }
     yield payload
-    yield f"{_text(args.triple)}: class {_text(original)}"
+    yield f"{_text(triple)}: class {_text(original)}"
     yield f"3 divides {witness.three_divides}; 4 divides b; 5 divides {witness.five_divides}"
     yield f"derivatives land in {_text(derived)}"
 
 
-def _cmd_squares(args: argparse.Namespace) -> Iterator[dict | str]:
-    sq = inscribed_squares(args.triple)
-    scale = integer_square_scale(args.triple)
+@_verb("squares", "inscribed squares, reciprocal triple, integer scaling", _SIDES)
+def _cmd_squares(triple: PPT) -> Iterator[dict | str]:
+    sq = inscribed_squares(triple)
+    scale = integer_square_scale(triple)
     payload = {
-        "triple": args.triple,
+        "triple": triple,
         "harmonic_square": sq.h,
         "symphonic_square": sq.s,
-        "reciprocal_triple": reciprocal_triple(args.triple),
+        "reciprocal_triple": reciprocal_triple(triple),
         "scale": scale.scale,
         "scaled_triple": dict(zip("abc", scale.scaled)),
         "scaled_harmonic": scale.h,
@@ -236,8 +276,12 @@ def _cmd_squares(args: argparse.Namespace) -> Iterator[dict | str]:
     yield f"scaled: [{_text(scale.scaled)}] with h={_text(scale.h)} s={_text(scale.s)}"
 
 
-def _cmd_family(args: argparse.Namespace) -> Iterator[dict | str]:
-    fam = Family(FamilyLine(args.line), args.index)
+@_verb("family", "the classical families and their derivative locations",
+       _arg("line", choices=[line.value for line in FamilyLine]),
+       _arg("index", type=int, help="1-based member index"),
+       _arg("--derive", choices=[kind.value for kind in DerivativeKind]))
+def _cmd_family(line: str, index: int, derive: str | None) -> Iterator[dict | str]:
+    fam = Family(FamilyLine(line), index)
     gen = family_generator(fam)
     member = triple_from_primary(gen)
     payload = {
@@ -247,23 +291,25 @@ def _cmd_family(args: argparse.Namespace) -> Iterator[dict | str]:
         "generator": gen,
         "triple": member,
     }
-    if args.derive is not None:
-        kind = DerivativeKind(args.derive)
+    if derive is not None:
+        kind = DerivativeKind(derive)
+        d_gen = derive_generator(gen, kind)
         payload |= {
             "derive": kind,
-            "derivative": derivative(member, kind),
-            "derivative_generator": derive_generator(gen, kind),
+            "derivative": triple_from_primary(d_gen),
+            "derivative_generator": d_gen,
             "derivative_path": derivative_location(fam, kind),
         }
     yield payload
     yield f"{_text(fam.line)} family, member {_text(fam.index)}"
     yield from _lines(payload, "path", "generator", "triple")
-    if args.derive is not None:
+    if derive is not None:
         yield f"{_text(kind)} derivative: {_text(payload['derivative'])}"
         yield from _lines(payload, "derivative_generator", "derivative_path")
 
 
-def _cmd_fermat_demo(args: argparse.Namespace | None) -> Iterator[dict | str]:
+@_verb("fermat-demo", "reproduce the location of Fermat's 13-digit triple")
+def _cmd_fermat_demo() -> Iterator[dict | str]:
     t = make_ppt(*_FERMAT_SIDES)
     f = generators_of(t)[0]
     letters = locate(f).letters()
@@ -304,74 +350,24 @@ def fermat_demo() -> dict:
     of 5+9+4+16+4+3), walks that path down from the root recording the generator each
     step starts from, classifies it, and shows it is neither a major nor a minor derivative.
     """
-    return _wire(next(_cmd_fermat_demo(None)))
+    return _wire(next(_cmd_fermat_demo()))
 
 
-def _add_triple_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("sides", nargs=3, type=int, metavar="side", help="the three sides, any leg order")
-
-
-def _add_kind_flags(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group(required=True)
-    for kind in DerivativeKind:
-        group.add_argument(f"--{kind}", dest="kind", action="store_const", const=kind)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ppt",
-        description="Exact algebra of primitive Pythagorean triples.",
-    )
+def _parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The `ppt` parser with the one verb argv[0] names, or with every verb if it names none."""
+    parser = argparse.ArgumentParser(prog="ppt", description="Exact algebra of primitive Pythagorean triples.")
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
-
-    def add(name: str, handler, help_: str) -> argparse.ArgumentParser:
+    for name in argv[:1] if argv and argv[0] in _VERBS else _VERBS:
+        help_, spec = _VERBS[name][1:]
         p = sub.add_parser(name, help=help_, description=help_)
         p.add_argument("--json", action="store_true", help="emit one JSON object")
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add("info", _cmd_info, "generators, key sequence, radii, squares and class of a triple")
-    _add_triple_args(p)
-
-    p = add("derive", _cmd_derive, "major or minor derivative of a triple")
-    _add_kind_flags(p)
-    _add_triple_args(p)
-
-    p = add("antiderive", _cmd_antiderive, "exact anti-derivative (surd roots, integral triple if any)")
-    _add_kind_flags(p)
-    _add_triple_args(p)
-
-    p = add("locate", _cmd_locate, "path code from the root to a generator or triple")
-    p.add_argument("target", nargs="+", help='a fraction "q/p" or three sides')
-
-    p = add("path", _cmd_path, "follow a path code down from the root")
-    p.add_argument("code", help='letters like AACAA; run-length tokens like "C^16" are accepted')
-
-    p = add("children", _cmd_children, "the three successors of a triple")
-    _add_triple_args(p)
-
-    p = add("level", _cmd_level, "all triples on one tree level")
-    p.add_argument("depth", type=int, help="tree level (root is 0)")
-    p.add_argument(
-        "--max-depth",
-        type=int,
-        default=12,
-        help="safety cap on the level (default 12; level n holds 3^n triples)",
-    )
-
-    p = add("classify", _cmd_classify, "divisibility class and guaranteed factors")
-    _add_triple_args(p)
-
-    p = add("squares", _cmd_squares, "inscribed squares, reciprocal triple, integer scaling")
-    _add_triple_args(p)
-
-    p = add("family", _cmd_family, "the classical families and their derivative locations")
-    p.add_argument("line", choices=[line.value for line in FamilyLine])
-    p.add_argument("index", type=int, help="1-based member index")
-    p.add_argument("--derive", choices=[kind.value for kind in DerivativeKind])
-
-    add("fermat-demo", _cmd_fermat_demo, "reproduce the location of Fermat's 13-digit triple")
-
+        for arg in spec:
+            if arg is DerivativeKind:
+                group = p.add_mutually_exclusive_group(required=True)
+                for kind in DerivativeKind:
+                    group.add_argument(f"--{kind}", dest="kind", action="store_const", const=kind)
+            else:
+                p.add_argument(*arg[0], **arg[1])
     return parser
 
 
@@ -382,26 +378,27 @@ def run(argv: list[str] | None = None) -> int:
     limit is lifted for the call, so sides and results of any size parse and
     print in full, and the caller's limit is restored on return.
     """
+    argv = sys.argv[1:] if argv is None else argv
     previous = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if previous:
         sys.set_int_max_str_digits(0)
     try:
-        parser = _build_parser()
         try:
-            args = parser.parse_args(argv)
+            fields = vars(_parser(argv).parse_args(argv))
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
+        handler, as_json = _VERBS[fields.pop("verb")][0], fields.pop("json")
         try:
-            if "sides" in args:
-                args.triple = make_ppt(*args.sides)
-            lines = args.handler(args)
+            if "sides" in fields:
+                fields["triple"] = make_ppt(*fields.pop("sides"))
+            lines = handler(**fields)
             payload = next(lines)  # every check runs before the payload is yielded
         except ValueError as exc:
             print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
-        if args.json:
+        if as_json:
             import json  # only here: text requests need not pay for importing it
-        print(json.dumps(_wire(payload), indent=2) if args.json else "\n".join(lines))
+        print(json.dumps(_wire(payload), indent=2) if as_json else "\n".join(lines))
         return 0
     finally:
         if previous:

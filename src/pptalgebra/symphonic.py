@@ -221,23 +221,6 @@ def corollary_generators(t: PPT, kind: DerivativeKind) -> tuple[Fraction, Fracti
     return _generators(*_derivative_pair(*_generator_pair(t), kind))
 
 
-def _discriminant(t: PPT, kind: DerivativeKind) -> tuple[int, int | None]:
-    # (disc, m): the preimage legs are (u +- sqrt(disc))/2 up to sign, and m = isqrt(disc)
-    # when disc is a square, else None.  With Q/P the primary generator,
-    # t = (P^2 - Q^2, 2PQ, P^2 + Q^2), u = P +- Q and disc = u^2 -+ 8PQ.  Since
-    # (P +- Q)^2 = c +- b and 8PQ = 4b, disc = c -+ 3b, read off the sides with no pair.
-    # c is odd and b even, so disc is odd: never 0, and so never 0^2.  is_derivative copies this rule and its
-    # square test, to decide a miss in one frame: a change here must be made there too.
-    if kind is _MAJOR:
-        disc = t.c - 3 * t.b
-    elif kind is _MINOR:
-        disc = t.c + 3 * t.b
-    else:
-        raise TypeError(f"expected a DerivativeKind, got {_shown(kind, 'integer', repr)}")
-    m = math.isqrt(disc) if disc > 0 else 0
-    return disc, m if m * m == disc else None
-
-
 def anti_derivative(t: PPT, kind: DerivativeKind) -> AntiDerivative:
     """Invert a derivative exactly.
 
@@ -249,16 +232,21 @@ def anti_derivative(t: PPT, kind: DerivativeKind) -> AntiDerivative:
     a primitive triple whose derivative is t.
     """
     # t = (P^2 - Q^2, 2PQ, P^2 + Q^2) and u = P +- Q is odd, so no g > 1 divides both u and 2: the roots are
-    # what QuadraticSurd(u, disc, 2, +-1) normalises to, in lowest terms.  A square disc = m^2, the case with an
-    # integral preimage, collapses them to the integers x, y = (u +- m)/2 over 1 as the public constructor does;
-    # disc is odd, so u +- m is even.  Then x + y = P + Q (major) or x - y = P - Q (minor) and xy = 2PQ, so the
-    # legs x, |y| are positive and x^2 + y^2 = hyp^2 with hyp = P -+ Q.  A prime dividing both legs divides
-    # P + Q and P - Q, hence P and Q, so the legs are coprime.  Two odd squares sum to 2 mod 4, so exactly one
-    # leg is odd; it goes first.  Their derivative is (P^2 - Q^2, 2PQ, P^2 + Q^2) = t, so nothing is re-checked.
-    disc, m = _discriminant(t, kind)
+    # what QuadraticSurd(u, disc, 2, +-1) normalises to, in lowest terms.  disc = u^2 -+ 8PQ is odd too: never
+    # 0, so never 0^2.  A square disc = m^2, the case with an integral preimage, collapses the roots to the
+    # integers x, y = (u +- m)/2 over 1 as the public constructor does; u +- m is even.  Then x + y = P + Q
+    # (major) or x - y = P - Q (minor) and xy = 2PQ, so the legs x, |y| are positive and x^2 + y^2 = hyp^2 with
+    # hyp = P -+ Q.  A prime dividing both legs divides P + Q and P - Q, hence P and Q, so the legs are coprime.
+    # Two odd squares sum to 2 mod 4, so exactly one leg is odd; it goes first.  Their derivative is
+    # (P^2 - Q^2, 2PQ, P^2 + Q^2) = t, so nothing is re-checked.
+    if kind is not _MAJOR and kind is not _MINOR:
+        raise TypeError(f"expected a DerivativeKind, got {_shown(kind, 'integer', repr)}")
     q, p = _generator_pair(t)
-    u, hyp = (p + q, p - q) if kind is _MAJOR else (p - q, p + q)
-    if m is None:
+    sign = 1 if kind is _MAJOR else -1
+    u, hyp = p + sign * q, p - sign * q
+    disc = u * u - sign * 4 * t.b  # u^2 -+ 8PQ, as 8PQ = 4b saves a product
+    m = math.isqrt(disc) if disc > 0 else 0
+    if m * m != disc:
         roots = (_proven(QuadraticSurd, u, disc, 2, 1), _proven(QuadraticSurd, u, disc, 2, -1))
         return AntiDerivative(kind, roots, hyp, None)
     x, y = (u + m) // 2, (u - m) // 2
@@ -271,8 +259,8 @@ def is_derivative(t: PPT, kind: DerivativeKind) -> PPT | None:
     """The integral anti-derivative of t under `kind`, or None when there is none.
 
     A miss is decided from the sides alone, reading neither the generator pair nor any surd."""
-    # _discriminant's rule and square test, inline so that a miss takes no second frame: a change to either copy
-    # must be made in both.  Only a hit calls anti_derivative.
+    # anti_derivative's disc = u^2 -+ 8PQ read off the sides, as (P +- Q)^2 = c +- b and 8PQ = 4b, so that a miss
+    # reads no pair and takes no second frame.  Only a hit calls anti_derivative.
     if kind is _MAJOR:
         disc = t.c - 3 * t.b
     elif kind is _MINOR:

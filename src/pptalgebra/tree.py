@@ -151,11 +151,11 @@ def step(f: Fraction, letter: str) -> Fraction:
 
 
 def _up(q: int, p: int) -> tuple[str, int, int, int]:
-    # The run ending at q/p, for 0 < q < p: (letter, count, parent q, parent p), a
-    # maximal A or C run or one B letter.  d = p - 2q picks the letter: d > q means
-    # A, 0 < d <= q means B, else C.  An A run subtracts 2q from p with q fixed and a
-    # C run subtracts the invariant p - q from both, so their lengths come from one
-    # division.  _regress copies these steps inline: change both or neither.
+    # The run ending at q/p, for 0 < q < p: (letter, count, parent q, parent p), a maximal A or C run or
+    # one B letter.  d = p - 2q picks the letter: d > q means A, 0 < d <= q means B, else C.  An A run
+    # subtracts 2q from p with q fixed and a C run subtracts the invariant p - q from both, so their lengths
+    # come from one division.  Only locate's fallback after a refused chunk calls it; _regress copies these
+    # steps inline: change both or neither.
     d = p - 2 * q
     if d > q:
         count = (p - q - 1) // (2 * q)
@@ -248,9 +248,9 @@ def parent(f: Fraction) -> tuple[Fraction, str] | Root:
         return ROOT
     if q == 1 and p == 3:
         raise SecondaryRoot("1/3 roots the secondary tree and has no parent here")
-    letter, count, q, p = _up(q, p)
-    # _up is unimodular, so the pair it reaches is still coprime.
-    return apply_path(_proven_fraction(q, p), PathCode(((letter, count - 1),))), letter
+    d = p - 2 * q  # picks the letter as in _up; one step up is unimodular, so the pair stays coprime
+    letter, q, p = ("A", q, d) if d > q else ("B", d, q) if d > 0 else ("C", -d, q)
+    return _proven_fraction(q, p), letter
 
 
 def locate(f: Fraction) -> PathCode:

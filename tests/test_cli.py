@@ -1,5 +1,6 @@
 """CLI behavior: text goldens, JSON round-trips, text/JSON agreement, errors."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from pptalgebra import (
     parse_key_sequence,
     triple_from_primary,
 )
+from pptalgebra import cli as cli_module, generators, symphonic, tree
 from pptalgebra.cli import _text, _wire, run
 
 
@@ -563,6 +565,92 @@ def test_usage_errors_exit_2(cli):
 def test_help_exits_zero(cli):
     assert cli("--help")[0] == 0
     assert cli("locate", "--help")[0] == 0
+
+
+# ------------------------------------------------------------ the verb table
+
+
+VERBS = ["info", "derive", "antiderive", "locate", "path", "children", "level", "classify", "squares", "family",
+         "fermat-demo"]
+
+# One request that runs and one bad value per verb, the latter a usage error (exit 2).
+VERB_CASES = {
+    "info": (["5", "12", "13"], ["3", "4", "x"]),
+    "derive": (["--minor", "3", "4", "5"], ["3", "4", "5"]),
+    "antiderive": (["--major", "35", "12", "37"], ["--major", "--minor", "35", "12", "37"]),
+    "locate": (["6/35"], ["6/35", "--max-depth", "3"]),
+    "path": (["AACAA"], ["A", "B"]),
+    "children": (["3", "4", "5"], ["3", "4"]),
+    "level": (["2", "--json"], ["x"]),
+    "classify": (["5", "12", "13"], ["3", "4", "5", "6"]),
+    "squares": (["3", "4", "5"], ["--json", "x", "4", "5"]),
+    "family": (["fermat", "2", "--derive", "minor"], ["bogus", "1"]),
+    "fermat-demo": (["--json"], ["x"]),
+}
+
+# (argv, exit status): help exits 0 and a usage error 2.
+PARSER_CASES = [
+    ([], 2), (["--help"], 0), (["bogus"], 2), (["--json"], 2),
+    *(([verb, "--help"], 0) for verb in VERBS),
+    *(([verb], 0 if verb == "fermat-demo" else 2) for verb in VERBS),
+    *(([verb, *good], 0) for verb, (good, _) in VERB_CASES.items()),
+    *(([verb, *bad], 2) for verb, (_, bad) in VERB_CASES.items()),
+]
+
+
+def _argv_id(value) -> str:
+    return " ".join(value) or "(none)" if isinstance(value, list) else str(value)
+
+
+def test_the_table_holds_every_verb_in_help_order():
+    assert list(cli_module._VERBS) == VERBS == list(VERB_CASES)
+
+
+@pytest.mark.parametrize("argv,status", PARSER_CASES, ids=_argv_id)
+def test_the_named_verbs_parser_answers_as_the_full_parser(cli, monkeypatch, argv, status):
+    # The goldens leave argparse's own text out, so help, usage errors and results are compared
+    # here with those of the parser that holds every verb of the table.
+    got = cli(*argv)
+    build = cli_module._parser
+    monkeypatch.setattr(cli_module, "_parser", lambda argv: build([]))
+    assert got == cli(*argv)
+    assert got[0] == status and got[1] + got[2]
+
+
+@pytest.mark.parametrize("argv,added", [(["info", "3", "4", "5"], 1), (["--help"], 11), (["bogus"], 11)], ids=_argv_id)
+def test_a_request_builds_only_its_verbs_parser(cli, monkeypatch, argv, added):
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    cli(*argv)
+    assert len(calls) == added
+
+
+@pytest.mark.parametrize("argv,reads", [
+    (["derive", "--major", "3", "4", "5"], 1),
+    (["derive", "--minor", "4565486027761", "1061652293520", "4687298610289"], 1),
+    (["derive", "--major", "119", "120", "169", "--json"], 1),
+    (["family", "fermat", "40", "--derive", "minor"], 0),
+    (["family", "pythagorean", "40", "--derive", "major", "--json"], 0),
+], ids=_argv_id)
+def test_requests_read_a_generator_pair_from_sides_at_most_once(cli, monkeypatch, argv, reads):
+    # derive maps the input's pair and builds the derivative from the pair it gets;
+    # family --derive maps the member's generator, which is in hand.
+    triples = []
+    for module in generators, symphonic, tree:
+        def counted(t, read=module._generator_pair):
+            triples.append(t)
+            return read(t)
+
+        monkeypatch.setattr(module, "_generator_pair", counted)
+    code, out, _ = cli(*argv)
+    assert code == 0 and out
+    assert len(triples) == reads
 
 
 def test_module_entry_point():
