@@ -14,7 +14,6 @@ import re
 from collections.abc import Iterable, Iterator
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, repeat
 
 from .triple_core import PPT, TripleError, _OpenPPT, _assign, _proven, _proven_fraction, _record, _shown
 from .generators import _generator_pair, _primary_pair, _primary_triple, _proper_pair, triple_from_primary
@@ -155,7 +154,7 @@ def _up(q: int, p: int) -> tuple[str, int, int, int]:
     # one B letter.  d = p - 2q picks the letter: d > q means A, 0 < d <= q means B, else C.  An A run
     # subtracts 2q from p with q fixed and a C run subtracts the invariant p - q from both, so their lengths
     # come from one division.  Only locate's fallback after a refused chunk calls it; _regress copies these
-    # steps inline: change both or neither.
+    # steps inline, and may take a long B run by its Pell matrix: change both or neither.
     d = p - 2 * q
     if d > q:
         count = (p - q - 1) // (2 * q)
@@ -173,12 +172,16 @@ def _regress(q: int, p: int, runs: list[tuple[str, int]], floor: int = 0,
     # at or above floor (an A or C run is refused whole, a B run is cut letter by
     # letter); append the runs, bottom first, to `runs`, merging equal letters.
     # Returns the pair reached and, if track, the matrix that sends (q, p) to it,
-    # else the identity: an A or C run is a row operation on it, a B run one product
-    # by B^-k, which is (-1)^k times the adjugate of the symmetric B^k.  A chunk's
-    # matrix stays small; at full size it would grow like the pair and cost about
-    # as much as the regression.  An exact pair stops at the root 1/2 (a step of no
-    # letters) or at 1/1, reached only from 1/3.
-    w, x, y, z = 1, 0, 0, 1
+    # else the identity.  Only its column (x, z) on p is updated as it goes: an A or
+    # C run is a row operation, a B run one product by B^-k, which is (-1)^k times
+    # the adjugate of the symmetric B^k.  The column on q then follows from the
+    # pair reached by two exact divisions.  A chunk's matrix stays small; at full
+    # size it would grow like the pair and cost about as much as the regression.
+    # A B run that reaches 32 letters jumps over most of the rest (_b_jump): a
+    # shorter run rarely pays for the test.  An exact pair stops at the root 1/2 (a
+    # step of no letters) or at 1/1, reached only from 1/3.
+    q0, p0 = q, p
+    x, z = 0, 1
     while 0 < q < p:
         d = p - 2 * q
         if d > q:
@@ -187,17 +190,19 @@ def _regress(q: int, p: int, runs: list[tuple[str, int]], floor: int = 0,
                 break
             letter, p = "A", p_up
             if track:
-                y, z = y - 2 * count * w, z - 2 * count * x
+                z -= 2 * count * x
         elif d > 0:
             if q < floor:
                 break
             letter, count, q, p = "B", 1, d, q
             while 0 < (d := p - 2 * q) <= q and q >= floor:
                 count, q, p = count + 1, d, q
+                if count == 32:
+                    jump, q, p = _b_jump(q, p, floor)
+                    count += jump
             if track:
                 b0, b1, _, b3 = _B_POWERS[count] if count < 65 else _b_power(count)
-                b0, b1, b3 = (-b0, b1, -b3) if count & 1 else (b0, -b1, b3)
-                w, x, y, z = b3 * w + b1 * y, b3 * x + b1 * z, b1 * w + b0 * y, b1 * x + b0 * z
+                x, z = (b1 * z - b3 * x, b1 * x - b0 * z) if count & 1 else (b3 * x - b1 * z, b0 * z - b1 * x)
         else:
             delta = p - q
             count = (q - 1) // delta
@@ -206,13 +211,46 @@ def _regress(q: int, p: int, runs: list[tuple[str, int]], floor: int = 0,
                 break
             letter, q, p = "C", q - taken, p - taken
             if track:
-                dw, dx = count * (y - w), count * (z - x)
-                w, x, y, z = w - dw, x - dx, y - dw, z - dx
+                dx = count * (z - x)
+                x, z = x - dx, z - dx
         if runs and runs[-1][0] == letter:
             runs[-1] = (letter, runs[-1][1] + count)
         else:
             runs.append((letter, count))
-    return q, p, (w, x, y, z)
+    if not (track and q0):
+        return q, p, (1, 0, 0, 1)
+    # The matrix sends (q0, p0) to (q, p), so q - x p0 and p - z p0 are multiples of q0.
+    return q, p, ((q - x * p0) // q0, x, (p - z * p0) // q0, z)
+
+
+def _b_jump(q: int, p: int, floor: int) -> tuple[int, int, int]:
+    # (k, B^-k (q, p)) for most of the k further letters of the B run at (q, p), or
+    # (0, q, p).  Each B^-1 multiplies u = p - (1 + sqrt 2) q by -(1 + sqrt 2) and p
+    # by about 1/(1 + sqrt 2); the run ends once |u| nears p/5, so about
+    # (bits(p) - bits(u)) / 2.543 letters remain.  u times its conjugate, about
+    # 1.17 p, is the integer norm p d - q^2.  The norm of the top `width` bits is
+    # off by less than 2^(width + 3): past 2^(width + 7) it gives bits(u) within a
+    # bit, and below, enough letters remain to pay for the full norm.  A jump of
+    # fewer than about 16 letters costs more than the loop.  q loses about 1.2716
+    # bits a letter, which caps k at the floor; both bounds keep a margin of about
+    # three letters.  A landing that is still a B pair with q >= floor proves every
+    # letter skipped: forward B maps (0, 1) into (1/3, 1/2), and q only grows.
+    width = 96 + p.bit_length() // 32
+    shift = max(p.bit_length() - width, 0)
+    top_p, top_q = p >> shift, q >> shift
+    norm = (top_p * (top_p - 2 * top_q) - top_q * top_q).bit_length()
+    if norm > 2 * top_p.bit_length() - 50:  # fewer than about 16 letters to jump
+        return 0, q, p
+    if shift and norm <= width + 7:
+        norm = (p * (p - 2 * q) - q * q).bit_length() - 2 * shift
+    k = int(min(2 * top_p.bit_length() - norm - 9, 2 * (q.bit_length() - floor.bit_length()) - 4) / 2.543)
+    if k < 1:  # the floor is near
+        return 0, q, p
+    b0, b1, _, b3 = _B_POWERS[k] if k < 65 else _b_power(k)
+    q_k, p_k = (b1 * p - b3 * q, b1 * q - b0 * p) if k & 1 else (b3 * q - b1 * p, b0 * p - b1 * q)
+    if 0 < p_k - 2 * q_k <= q_k and q_k >= floor:
+        return k, q_k, p_k
+    return 0, q, p
 
 
 # Generators whose p has more bits than this regress in chunks.  Below it a
@@ -290,34 +328,38 @@ def _mat_mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, int, int, int
 
 
 def _b_power(count: int) -> tuple[int, int, int, int]:
-    # The matrix of (q, p) -> (p, q + 2p) iterated count >= 1 times, by
-    # squaring; its entries are the Pell numbers p(count - 1), p(count), p(count + 1).
-    power, base = (1, 0, 0, 1), (0, 1, 1, 2)
-    while True:
-        if count & 1:
-            power = _mat_mul(power, base)
-        count >>= 1
-        if not count:
-            return power
-        base = _mat_mul(base, base)
+    # B^count for count >= 0, the matrix of (q, p) -> (p, q + 2p) iterated:
+    # (P(count - 1), P(count); P(count), P(count + 1)) in the Pell numbers
+    # 0, 1, 2, 5, 12, ...  Left to right over the bits of count, (P(k), P(k + 1))
+    # doubles to P(2k) = 2 P(k) (P(k + 1) - P(k)) and P(2k + 1) = P(k)^2 + P(k + 1)^2,
+    # three products a bit, and a set bit steps on by P(k + 2) = 2 P(k + 1) + P(k).
+    a, b = 0, 1
+    for bit in bin(count)[2:]:
+        a, b = 2 * a * (b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, 2 * b + a
+    return b - 2 * a, a, a, b
 
 
-# B^k for 0 <= k <= 64, so that a short B run costs a lookup and not a squaring.
-_B_POWERS = tuple(accumulate(repeat((0, 1, 1, 2), 64), _mat_mul, initial=(1, 0, 0, 1)))
+# B^k for 0 <= k <= 64, so that a short B run costs a lookup.
+_B_POWERS = tuple(map(_b_power, range(65)))
 
 
 # A leaf product whose last row passes this bound goes onto the binary-splitting stack.
 _LEAF_MAX = 1 << 384
 
 
-def _path_matrix(runs: Iterable[tuple[str, int]]) -> tuple[int, int, int, int]:
-    # The product of the run matrices, later runs on the left.  Runs multiply in
-    # place into a small leaf (w, x; y, z): A^k adds 2k row 0 to row 1, C^k adds
-    # k (row 1 - row 0) to both rows, and a B run multiplies by B^count, read from
-    # _B_POWERS when short.  Each maps the cone 0 <= q <= p into itself, so y and z
-    # bound all four entries within a bit.  Full leaves multiply by binary
-    # splitting: a stack merges products of equally many leaves, so big products
-    # pair numbers of like size and only O(log runs) are held at once.
+def _path_pair(runs: Iterable[tuple[str, int]], q: int, p: int) -> tuple[int, int]:
+    # The image of (q, p) under the runs, the first run applied first.  Runs
+    # multiply in place into a small leaf (w, x; y, z): A^k adds 2k row 0 to row 1,
+    # C^k adds k (row 1 - row 0) to both rows, and a B run multiplies by B^count,
+    # read from _B_POWERS when short.  Each maps the cone 0 <= q <= p into itself,
+    # so y and z bound all four entries within a bit.  Full leaves multiply by
+    # binary splitting: a stack merges products of equally many leaves, so big
+    # products pair numbers of like size.  A product that empties the stack and is
+    # at least as long as p is applied to the pair (4 products) instead of being
+    # merged into a bigger one (8 products), so the pair absorbs products of about
+    # its own size.  Whatever is left at the end is multiplied out and applied once.
     stack: list[tuple[tuple[int, int, int, int], int]] = []
     w, x, y, z = 1, 0, 0, 1
     for letter, count in runs:
@@ -333,20 +375,23 @@ def _path_matrix(runs: Iterable[tuple[str, int]]) -> tuple[int, int, int, int]:
             m, size = (w, x, y, z), 1
             while stack and stack[-1][1] == size:
                 m, size = _mat_mul(m, stack.pop()[0]), 2 * size
-            stack.append((m, size))
+            if stack or max(m[2].bit_length(), m[3].bit_length()) < p.bit_length():
+                stack.append((m, size))
+            else:
+                q, p = m[0] * q + m[1] * p, m[2] * q + m[3] * p
             w, x, y, z = 1, 0, 0, 1
-    product = w, x, y, z
     for m, _ in reversed(stack):
-        product = _mat_mul(product, m)
-    return product
+        w, x, y, z = _mat_mul((w, x, y, z), m)
+    return w * q + x * p, y * q + z * p
 
 
 def apply_path(f: Fraction, code: PathCode) -> Fraction:
-    """Follow a path code downward from f: one matrix for the whole code, applied once."""
+    """Follow a path code downward from f: its runs' products applied to the generator's pair."""
     q, p = _proper_pair(f)
-    a, b, c, d = _path_matrix(code.runs)
-    # The product is unimodular, so it sends the coprime pair of f to a coprime pair.
-    return _proven_fraction(a * q + b * p, c * q + d * p)
+    if not isinstance(code, PathCode):
+        raise TypeError(f"expected a PathCode, got {_shown(code, 'integer', repr)}")
+    # The runs are unimodular, so they send the coprime pair of f to a coprime pair.
+    return _proven_fraction(*_path_pair(code.runs, q, p))
 
 
 def _level_pairs(n: int) -> Iterator[tuple[int, int]]:
@@ -456,6 +501,8 @@ def pell(n: int) -> PellPair:
 
     A run of n B steps takes (0, 1) to (p(n), p(n+1)), and q(n) = p(n+1) - p(n).
     """
+    if not isinstance(n, int):
+        raise TypeError(f"Pell index must be an integer, got {_shown(n, 'integer', repr)}")
     if n < 1:
         raise ValueError(f"Pell index must be positive, got {_shown(n, 'integer')}")
     _, p, _, p_next = _b_power(n)
@@ -491,6 +538,8 @@ class Family:
         _assign(self, line, index)
         if not isinstance(line, FamilyLine):
             raise TypeError(f"expected a FamilyLine, got {_shown(line, 'integer', repr)}")
+        if not isinstance(index, int):
+            raise TypeError(f"family index must be an integer, got {_shown(index, 'integer', repr)}")
         if index < 1:
             raise ValueError(f"family index must be positive, got {_shown(index, 'integer')}")
 

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
@@ -130,42 +131,48 @@ def locate_by_runs(f: Fraction) -> PathCode:
     return PathCode(tuple(reversed(reversed_runs)))
 
 
-def b_run(q: int, p: int, count: int) -> tuple[int, int]:
-    """(q, p) -> (p, q + 2p) iterated `count` times, by squaring the step matrix."""
-    xa, xb, xc, xd = 1, 0, 0, 1
-    ya, yb, yc, yd = 0, 1, 1, 2
+def mat_mul(x, y) -> tuple[int, int, int, int]:
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+def b_power_by_squaring(count: int) -> tuple[int, int, int, int]:
+    """B^count by squaring the whole 2x2 matrix, 8 products a step; the oracle for tree._b_power()."""
+    power, base = (1, 0, 0, 1), (0, 1, 1, 2)
     while count:
         if count & 1:
-            xa, xb, xc, xd = xa * ya + xb * yc, xa * yb + xb * yd, xc * ya + xd * yc, xc * yb + xd * yd
-        ya, yb, yc, yd = ya * ya + yb * yc, ya * yb + yb * yd, yc * ya + yd * yc, yc * yb + yd * yd
+            power = mat_mul(power, base)
+        base = mat_mul(base, base)
         count >>= 1
-    return xa * q + xb * p, xc * q + xd * p
+    return power
+
+
+def b_run(q: int, p: int, count: int) -> tuple[int, int]:
+    """(q, p) -> (p, q + 2p) iterated `count` times, by squaring the step matrix."""
+    w, x, y, z = b_power_by_squaring(count)
+    return w * q + x * p, y * q + z * p
 
 
 def matrix_by_runs(runs) -> tuple[int, int, int, int]:
-    """One matrix per run, multiplied by binary splitting; the oracle for _path_matrix()."""
-
-    def mul(x, y):
-        return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
-                x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+    """One matrix per run, later runs on the left, multiplied by binary splitting; the oracle for the path
+    products of tree._path_pair() and tree._regress()."""
 
     def run_matrix(letter, count):
         if letter == "A":
             return 1, 0, 2 * count, 1
         if letter == "C":
             return 1 - count, count, -count, 1 + count
-        (w, y), (x, z) = b_run(1, 0, count), b_run(0, 1, count)
-        return w, x, y, z
+        return b_power_by_squaring(count)
 
     stack = []
     for letter, count in runs:
         m, size = run_matrix(letter, count), 1
         while stack and stack[-1][1] == size:
-            m, size = mul(m, stack.pop()[0]), 2 * size
+            m, size = mat_mul(m, stack.pop()[0]), 2 * size
         stack.append((m, size))
     product = (1, 0, 0, 1)
     for m, _ in stack:
-        product = mul(m, product)
+        product = mat_mul(m, product)
     return product
 
 
@@ -548,33 +555,48 @@ def test_astronomical_codes_match_oracles(same_fraction, seed, bits):
     assert_navigation_matches_oracles(drawn_code(seed, "astro", bits), same_fraction)
 
 
+def assert_path_pair_matches_the_product(runs, q: int = 0, p: int = 0) -> None:
+    # The images of (1, 0) and (0, 1) are the columns of the product, and that of (q, p) is their combination.
+    runs = tuple(runs)
+    a, b, c, d = matrix_by_runs(runs)
+    assert tree._path_pair(runs, 1, 0) == (a, c)
+    assert tree._path_pair(runs, 0, 1) == (b, d)
+    assert tree._path_pair(runs, q, p) == (a * q + b * p, c * q + d * p)
+
+
 @settings(max_examples=20)
 @given(st.sampled_from(("mixed", "bheavy", "astro")), st.integers(0, 2**32), st.integers(0, 20_000))
-def test_path_matrix_matches_the_run_by_run_product(shape, seed, bits):
-    runs = drawn_code(seed, shape, bits).runs
-    assert tree._path_matrix(runs) == matrix_by_runs(runs)
+def test_path_pair_matches_the_run_by_run_product(shape, seed, bits):
+    q, p = apply_path(ROOT_GENERATOR, drawn_code(seed + 1, "mixed", bits // 2)).as_integer_ratio()
+    assert_path_pair_matches_the_product(drawn_code(seed, shape, bits).runs, q, p)
 
 
 @given(st.lists(st.one_of(
     st.tuples(st.sampled_from("AC"), st.integers(1, 10**30)),
     st.tuples(st.just("B"), st.integers(1, 600)),
-), max_size=30))
-def test_path_matrix_matches_the_run_by_run_product_on_raw_runs(runs):
-    # Any runs, adjacent equal letters included, as a chunk of locate passes them.
-    assert tree._path_matrix(runs) == matrix_by_runs(runs)
+), max_size=30), st.integers(0, 2**3000), st.integers(0, 2**3000))
+def test_path_pair_matches_the_run_by_run_product_on_raw_runs(runs, q, p):
+    # Any runs, adjacent equal letters included, and any pair, short or long beside the runs.
+    assert_path_pair_matches_the_product(runs, q, p)
 
 
-def test_path_matrix_spans_many_leaves():
-    assert tree._path_matrix(()) == (1, 0, 0, 1)
+def test_path_pair_spans_many_leaves():
+    assert tree._path_pair((), 3, 7) == (3, 7)
     for shape in ("mixed", "bheavy", "astro"):
         runs = drawn_code(3, shape, 8000).runs
-        m = tree._path_matrix(runs)
-        assert m == matrix_by_runs(runs)
-        assert max(abs(entry) for entry in m) > tree._LEAF_MAX**8
+        assert max(abs(entry) for entry in matrix_by_runs(runs)) > tree._LEAF_MAX**8
         assert any(letter == "C" for letter, _ in runs)
+        assert_path_pair_matches_the_product(runs, 5, 12)
+    # B^310 has entries past _LEAF_MAX and B^4 does not, so each B^310 run is one leaf: the stack empties, or
+    # does not, on each side of a power of two, and a B^4 run leaves a partial leaf at the end.
+    assert tree._B_POWERS[4][3] < tree._LEAF_MAX < min(tree._b_power(310)[1:])
+    for j in range(6):
+        for leaves in (2**j - 1, 2**j, 2**j + 1):
+            for tail in (), (("B", 4),):
+                assert_path_pair_matches_the_product((("B", 310),) * leaves + tail, 2, 5)
     runs = (("C", 10**30), ("A", 2)) * 20
-    assert tree._path_matrix(runs) == matrix_by_runs(runs)
-    assert min(tree._path_matrix(runs)) < 0  # a C run leaves negative entries
+    assert_path_pair_matches_the_product(runs, 1, 2)
+    assert min(matrix_by_runs(runs)) < 0  # a C run leaves negative entries
 
 
 def test_locate_returns_maximal_runs_on_both_sides_of_the_chunk_size(chunks):
@@ -689,7 +711,7 @@ def assert_regress_matches_oracles(q: int, p: int, floor: int, prefix: list) -> 
     q_up, p_up, (w, x, y, z) = tree._regress(q, p, taken, floor, True)
     assert (q_up, p_up) == want and taken == want_taken
     assert (w * q + x * p, y * q + z * p) == want
-    a, b, c, d = tree._path_matrix(reversed(taken))
+    a, b, c, d = matrix_by_runs(reversed(taken))
     det = a * d - b * c
     assert det in (1, -1)
     assert (w, x, y, z) == (det * d, -det * b, -det * c, det * a)
@@ -742,13 +764,123 @@ def test_regress_matrix_on_astronomical_runs():
             taken: list = []
             q_up, p_up, (w, x, y, z) = tree._regress(*top, taken, floor, True)
             assert (w * top[0] + x * top[1], y * top[0] + z * top[1]) == (q_up, p_up)
-            a, b, c, d = tree._path_matrix(reversed(taken))
+            a, b, c, d = matrix_by_runs(reversed(taken))
             assert (w, x, y, z) == tuple((a * d - b * c) * m for m in (d, -b, -c, a))
+
+
+def test_regress_of_a_top_whose_q_truncates_to_zero(chunks):
+    # After an A run of 2^1100 letters q/p is under 2^-1100, so a chunk's top bits hold q = 0: the regression
+    # takes no step and returns the identity, and locate falls back to one full-size run.
+    code = drawn_code(5, "mixed", 8000) + PathCode((("A", 2**1100),))
+    q, p = apply_path(ROOT_GENERATOR, code).as_integer_ratio()
+    shift = p.bit_length() - tree._TOP_BITS
+    assert q >> shift == 0
+    for track in False, True:
+        taken: list = []
+        assert tree._regress(0, p >> shift, taken, tree._TOP_FLOOR, track) == (0, p >> shift, (1, 0, 0, 1))
+        assert taken == []
+    assert locate(Fraction(q, p)) == locate_by_runs(Fraction(q, p)) == code
+    assert (0, False) in chunks
 
 
 def test_b_power_table_holds_b_powers():
     assert tree._B_POWERS[0] == (1, 0, 0, 1)
     assert tree._B_POWERS == tuple(map(tree._b_power, range(65)))
+
+
+def test_b_power_matches_matrix_squaring():
+    for count in [*range(301), *random.Random(5).sample(range(301, 10**5 + 1), 20), 10**5]:
+        assert tree._b_power(count) == b_power_by_squaring(count)
+
+
+# ------------------------------------------------------------ long B runs
+
+
+def b_run_codes(count: int) -> list[PathCode]:
+    """A B run of `count` letters alone, between other letters, and below a code past the chunk size."""
+    run = PathCode((("B", count),))
+    return [
+        run,
+        PathCode.parse("A^3") + run + PathCode.parse("C^7 A"),
+        PathCode.parse("C A") + run + PathCode.parse("A B C") + run + PathCode.parse("C"),
+        drawn_code(count, "mixed", 9000) + run + PathCode.parse("A") + run,
+    ]
+
+
+@pytest.mark.parametrize("count", [7, 8, 9, 31, 32, 33, 52, 53, 64, 65, 66, 97])
+def test_locate_takes_b_runs_near_the_jump_lengths(count, same_fraction):
+    for code in b_run_codes(count):
+        assert_navigation_matches_oracles(code, same_fraction)
+
+
+@settings(max_examples=10)
+@given(st.sampled_from((7, 8, 9, 31, 32, 33, 52, 64, 65, 66, 300)), st.integers(0, 300))
+def test_regress_stops_at_floors_inside_long_b_runs(count, depth):
+    # A floor equal to, or one above, the p of a node `depth` letters below the top of the B run: the jump must
+    # land at or above it, and the letters below it are taken one at a time.
+    code = PathCode.parse("A^3") + PathCode((("B", count),)) + PathCode.parse("C^7 A")
+    q, p = apply_path(ROOT_GENERATOR, code).as_integer_ratio()
+    node = apply_path(ROOT_GENERATOR, PathCode.parse("A^3") + PathCode((("B", min(depth, count)),)))
+    for floor in node.denominator, node.denominator + 1:
+        assert_regress_matches_oracles(q, p, floor, [])
+
+
+def test_b_jump_lands_inside_the_run_with_few_letters_left():
+    # From every pair of B runs of 8 to 200 letters, under floors at every node, a jump lands on the pair the
+    # letter-at-a-time steps reach, still a B pair at or above the floor, and leaves at most four letters.  With
+    # no floor, every pair with 24 or more letters left jumps.
+    for count in (8, 9, 10, 17, 40, 65, 200):
+        code = PathCode.parse("C^3") + PathCode((("B", count),)) + PathCode.parse("A")
+        q, p = apply_path(ROOT_GENERATOR, code).as_integer_ratio()
+        p -= 2 * q  # regress the A
+        pairs = []  # the B run's pairs, bottom first
+        while 0 < p - 2 * q <= q:
+            pairs.append((q, p))
+            q, p = p - 2 * q, q
+        pairs.append((q, p))
+        assert len(pairs) == count + 1
+        for floor in [0] + [p_i for _, p_i in pairs]:
+            for start, (q, p) in enumerate(pairs):
+                left = sum(1 for q_i, _ in pairs[start:-1] if q_i >= floor)
+                k, q_k, p_k = tree._b_jump(q, p, floor)
+                assert (q_k, p_k) == pairs[start + k]
+                assert k == 0 or (0 < p_k - 2 * q_k <= q_k and q_k >= floor and left - k <= 4)
+                assert k > 0 or floor or left < 24
+
+
+@pytest.mark.parametrize("count", [1000, 4000, 4719, 10**4, 33_333, 10**5])
+def test_locate_takes_long_b_runs(count, same_fraction):
+    # The oracles take one full-size step a B letter, so the longest run is checked alone.
+    for code in b_run_codes(count)[:1 if count == 10**5 else 2]:
+        assert_navigation_matches_oracles(code, same_fraction)
+
+
+def package_lines(call, *args) -> int:
+    """The line events that call(*args) runs in the package's Python frames: deterministic for an interpreter."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_globals.get("__name__", "").partition(".")[0] == "pptalgebra" else None
+
+    sys.settrace(trace)
+    try:
+        call(*args)
+    finally:
+        sys.settrace(None)
+    return lines
+
+
+def test_locate_takes_a_long_b_run_in_a_few_steps():
+    # A B run of 4000 letters, under the chunk size, is 32 letters, one jump and a few letters: about 200 lines,
+    # where a loop turn a letter runs about 8,000.
+    f = apply_path(ROOT_GENERATOR, PathCode.parse("B^4000"))
+    assert f.denominator.bit_length() < tree._CHUNK_FROM_BITS
+    assert package_lines(locate, f) < 400
 
 
 # ----------------------------------------------------------------- children
@@ -1109,6 +1241,25 @@ def test_kinds_and_lines_of_the_wrong_type_raise_type_error():
             Family(bad, 3)
     for kind in DerivativeKind:
         assert derivative_location(fam, kind) == locate(derive_generator(family_generator(fam), kind))
+
+
+def test_non_integer_indices_and_codes_that_are_not_path_codes_raise_type_error():
+    # The type is checked before the sign, so 0.5 is refused as a non-integer; integers keep their ValueError.
+    for bad in (2.5, 0.5, Fraction(3), "3", None):
+        shown = re.escape(repr(bad))
+        with pytest.raises(TypeError, match=f"^Pell index must be an integer, got {shown}$"):
+            pell(bad)
+        with pytest.raises(TypeError, match=f"^family index must be an integer, got {shown}$"):
+            Family(FamilyLine.FERMAT, bad)
+        with pytest.raises(TypeError, match=f"^family index must be an integer, got {shown}$"):
+            square_triangle_triple(bad)
+    for bad in ("AB", (("A", 1),), None):
+        with pytest.raises(TypeError, match=f"^expected a PathCode, got {re.escape(repr(bad))}$"):
+            apply_path(ROOT_GENERATOR, bad)
+    with pytest.raises(ValueError, match="^Pell index must be positive, got 0$"):
+        pell(0)
+    with pytest.raises(ValueError, match="^family index must be positive, got -1$"):
+        Family(FamilyLine.PLATONIC, -1)
 
 
 def test_degenerate_indices():
