@@ -141,8 +141,11 @@ class Radii:
 
 
 def _generator_pair(t: PPT) -> tuple[int, int]:
-    # The primary generator q/p of t in lowest terms, with no Fraction and no gcd:
-    # t = (p^2 - q^2, 2pq, p^2 + q^2) for coprime q < p, so c + a = 2p^2 and b = 2pq.
+    # The primary generator q/p of t in lowest terms, with no Fraction and no gcd: the pair PPT() kept when it
+    # checked t on it, else read off t = (p^2 - q^2, 2pq, p^2 + q^2) for coprime q < p, as c + a = 2p^2 and b = 2pq.
+    pair = getattr(t, "_pair", None)
+    if pair is not None:
+        return pair
     p = math.isqrt((t.c + t.a) // 2)
     return t.b // (2 * p), p
 

@@ -232,19 +232,19 @@ def anti_derivative(t: PPT, kind: DerivativeKind) -> AntiDerivative:
     a primitive triple whose derivative is t.
     """
     # t = (P^2 - Q^2, 2PQ, P^2 + Q^2) and u = P +- Q is odd, so no g > 1 divides both u and 2: the roots are
-    # what QuadraticSurd(u, disc, 2, +-1) normalises to, in lowest terms.  disc = u^2 -+ 8PQ is odd too: never
-    # 0, so never 0^2.  A square disc = m^2, the case with an integral preimage, collapses the roots to the
-    # integers x, y = (u +- m)/2 over 1 as the public constructor does; u +- m is even.  Then x + y = P + Q
-    # (major) or x - y = P - Q (minor) and xy = 2PQ, so the legs x, |y| are positive and x^2 + y^2 = hyp^2 with
-    # hyp = P -+ Q.  A prime dividing both legs divides P + Q and P - Q, hence P and Q, so the legs are coprime.
-    # Two odd squares sum to 2 mod 4, so exactly one leg is odd; it goes first.  Their derivative is
-    # (P^2 - Q^2, 2PQ, P^2 + Q^2) = t, so nothing is re-checked.
+    # what QuadraticSurd(u, disc, 2, +-1) normalises to, in lowest terms.  disc = u^2 -+ 8PQ = c -+ 3b, as
+    # u^2 = c +- b and 8PQ = 4b, is odd too: never 0, so never 0^2.  A square disc = m^2, the case with an
+    # integral preimage, collapses the roots to the integers x, y = (u +- m)/2 over 1 as the public constructor
+    # does; u +- m is even.  Then x + y = P + Q (major) or x - y = P - Q (minor) and xy = 2PQ, so the legs x, |y|
+    # are positive and x^2 + y^2 = hyp^2 with hyp = P -+ Q.  A prime dividing both legs divides P + Q and P - Q,
+    # hence P and Q, so the legs are coprime.  Two odd squares sum to 2 mod 4, so exactly one leg is odd; it goes
+    # first.  Their derivative is (P^2 - Q^2, 2PQ, P^2 + Q^2) = t, so nothing is re-checked.
     if kind is not _MAJOR and kind is not _MINOR:
         raise TypeError(f"expected a DerivativeKind, got {_shown(kind, 'integer', repr)}")
     q, p = _generator_pair(t)
     sign = 1 if kind is _MAJOR else -1
     u, hyp = p + sign * q, p - sign * q
-    disc = u * u - sign * 4 * t.b  # u^2 -+ 8PQ, as 8PQ = 4b saves a product
+    disc = t.c - sign * 3 * t.b  # read off the sides, with no product; is_derivative states it the same way
     m = math.isqrt(disc) if disc > 0 else 0
     if m * m != disc:
         roots = (_proven(QuadraticSurd, u, disc, 2, 1), _proven(QuadraticSurd, u, disc, 2, -1))
@@ -260,7 +260,7 @@ def is_derivative(t: PPT, kind: DerivativeKind) -> PPT | None:
 
     A miss is decided from the sides alone, reading neither the generator pair nor any surd."""
     # anti_derivative's disc = u^2 -+ 8PQ read off the sides, as (P +- Q)^2 = c +- b and 8PQ = 4b, so that a miss
-    # reads no pair and takes no second frame.  Only a hit calls anti_derivative.
+    # reads no pair and takes no second frame.  Only a hit calls anti_derivative, which reads disc the same way.
     if kind is _MAJOR:
         disc = t.c - 3 * t.b
     elif kind is _MINOR:

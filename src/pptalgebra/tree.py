@@ -178,7 +178,9 @@ def _regress(q: int, p: int, runs: list[tuple[str, int]], floor: int = 0,
     # pair reached by two exact divisions.  A chunk's matrix stays small; at full
     # size it would grow like the pair and cost about as much as the regression.
     # A B run that reaches 32 letters jumps over most of the rest (_b_jump): a
-    # shorter run rarely pays for the test.  An exact pair stops at the root 1/2 (a
+    # shorter run rarely pays for the test.  B powers commute, so the column takes
+    # the jump's B^-k at the jump and the power of the run's other letters at its
+    # end, which is short after a jump.  An exact pair stops at the root 1/2 (a
     # step of no letters) or at 1/1, reached only from 1/3.
     q0, p0 = q, p
     x, z = 0, 1
@@ -194,15 +196,18 @@ def _regress(q: int, p: int, runs: list[tuple[str, int]], floor: int = 0,
         elif d > 0:
             if q < floor:
                 break
-            letter, count, q, p = "B", 1, d, q
+            letter, count, jump, q, p = "B", 1, 0, d, q
             while 0 < (d := p - 2 * q) <= q and q >= floor:
                 count, q, p = count + 1, d, q
                 if count == 32:
-                    jump, q, p = _b_jump(q, p, floor)
+                    jump, q, p, (b0, b1, _, b3) = _b_jump(q, p, floor)
                     count += jump
+                    if track:
+                        x, z = (b1 * z - b3 * x, b1 * x - b0 * z) if jump & 1 else (b3 * x - b1 * z, b0 * z - b1 * x)
             if track:
-                b0, b1, _, b3 = _B_POWERS[count] if count < 65 else _b_power(count)
-                x, z = (b1 * z - b3 * x, b1 * x - b0 * z) if count & 1 else (b3 * x - b1 * z, b0 * z - b1 * x)
+                rest = count - jump
+                b0, b1, _, b3 = _B_POWERS[rest] if rest < 65 else _b_power(rest)
+                x, z = (b1 * z - b3 * x, b1 * x - b0 * z) if rest & 1 else (b3 * x - b1 * z, b0 * z - b1 * x)
         else:
             delta = p - q
             count = (q - 1) // delta
@@ -223,10 +228,10 @@ def _regress(q: int, p: int, runs: list[tuple[str, int]], floor: int = 0,
     return q, p, ((q - x * p0) // q0, x, (p - z * p0) // q0, z)
 
 
-def _b_jump(q: int, p: int, floor: int) -> tuple[int, int, int]:
-    # (k, B^-k (q, p)) for most of the k further letters of the B run at (q, p), or
-    # (0, q, p).  Each B^-1 multiplies u = p - (1 + sqrt 2) q by -(1 + sqrt 2) and p
-    # by about 1/(1 + sqrt 2); the run ends once |u| nears p/5, so about
+def _b_jump(q: int, p: int, floor: int) -> tuple[int, int, int, tuple[int, int, int, int]]:
+    # (k, B^-k (q, p), B^k) for most of the k further letters of the B run at (q, p),
+    # or (0, q, p, the identity).  Each B^-1 multiplies u = p - (1 + sqrt 2) q by
+    # -(1 + sqrt 2) and p by about 1/(1 + sqrt 2); the run ends once |u| nears p/5, so about
     # (bits(p) - bits(u)) / 2.543 letters remain.  u times its conjugate, about
     # 1.17 p, is the integer norm p d - q^2.  The norm of the top `width` bits is
     # off by less than 2^(width + 3): past 2^(width + 7) it gives bits(u) within a
@@ -240,17 +245,18 @@ def _b_jump(q: int, p: int, floor: int) -> tuple[int, int, int]:
     top_p, top_q = p >> shift, q >> shift
     norm = (top_p * (top_p - 2 * top_q) - top_q * top_q).bit_length()
     if norm > 2 * top_p.bit_length() - 50:  # fewer than about 16 letters to jump
-        return 0, q, p
+        return 0, q, p, _B_POWERS[0]
     if shift and norm <= width + 7:
         norm = (p * (p - 2 * q) - q * q).bit_length() - 2 * shift
     k = int(min(2 * top_p.bit_length() - norm - 9, 2 * (q.bit_length() - floor.bit_length()) - 4) / 2.543)
     if k < 1:  # the floor is near
-        return 0, q, p
-    b0, b1, _, b3 = _B_POWERS[k] if k < 65 else _b_power(k)
+        return 0, q, p, _B_POWERS[0]
+    power = _B_POWERS[k] if k < 65 else _b_power(k)
+    b0, b1, _, b3 = power
     q_k, p_k = (b1 * p - b3 * q, b1 * q - b0 * p) if k & 1 else (b3 * q - b1 * p, b0 * p - b1 * q)
     if 0 < p_k - 2 * q_k <= q_k and q_k >= floor:
-        return k, q_k, p_k
-    return 0, q, p
+        return k, q_k, p_k, power
+    return 0, q, p, _B_POWERS[0]
 
 
 # Generators whose p has more bits than this regress in chunks.  Below it a

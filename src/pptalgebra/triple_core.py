@@ -66,15 +66,16 @@ def _compare(op, key):
     return lambda self, other: op(key(self), key(other)) if other.__class__ is self.__class__ else NotImplemented
 
 
-def _record(cls: type | None = None, *, order: bool = False):
+def _record(cls: type | None = None, *, order: bool = False, private: tuple[str, ...] = ()):
     # dataclass(frozen=True, order=order, slots=True) without its import or compiled code.  repr, hash, == and the
     # orderings use the tuple of annotated fields; == takes a lone field bare, which compares the same.  copy and
     # pickle rebuild through _proven, past the frozen __setattr__; __setstate__ loads a pre-slots pickle's dict.
+    # The private slots follow the fields and are none of these: a rebuilt record leaves them unset.
     if cls is None:
-        return lambda cls: _record(cls, order=order)
+        return lambda cls: _record(cls, order=order, private=private)
     fields = tuple(cls.__annotations__)
     body = {name: value for name, value in vars(cls).items() if name not in ("__dict__", "__weakref__")}
-    cls = type(cls)(cls.__name__, cls.__bases__, {**body, "__slots__": fields})
+    cls = type(cls)(cls.__name__, cls.__bases__, {**body, "__slots__": fields + private})
     get = operator.attrgetter(*fields)
     key = get if len(fields) > 1 else lambda record: (get(record),)
     cls.__reduce__ = lambda self: (_proven, (self.__class__, *key(self)))
@@ -108,7 +109,7 @@ class TClass(Enum):
         return self.value
 
 
-@_record(order=True)
+@_record(order=True, private=("_pair",))
 class PPT:
     """A primitive Pythagorean triple in canonical orientation.
 
@@ -126,6 +127,22 @@ class PPT:
         for side in (a, b, c):
             if not isinstance(side, int) or side <= 0:
                 raise TripleError(f"sides must be positive integers, got {_shown(side, 'integer', repr)}")
+        # The check on the half-size generator pair, kept in _pair for generators._generator_pair.  Let
+        # P^2 = (c + a)/2, Q^2 = (c - a)/2, 2PQ = b and gcd(P, Q) = 1.  Then a = P^2 - Q^2 and c = P^2 + Q^2, so
+        # a^2 + b^2 = (P^2 - Q^2)^2 + 4P^2Q^2 = c^2.  A prime dividing both legs is odd, as a is, and divides c,
+        # so it divides c + a = 2P^2 and c - a = 2Q^2, hence P and Q, which gcd(P, Q) = 1 rules out.  So every
+        # triple this accepts is a PPT with a odd and b even, and by Euclid's parametrization every such PPT is
+        # accepted.  It takes two full-size isqrts, three half-size products and a half-size gcd, where the sides'
+        # check takes two full products and a full gcd.  But gcd(a, b) ends after one short division when the
+        # legs' difference is short, as on the Pell line B^k where it is 1: measured at 8k-262k bits, the pair
+        # check pays only once the difference has more than about half the bits of c.  Shorter differences, and
+        # every input the pair check refuses, take the sides' check below, whose errors are the ones raised.
+        if a & 1 and c & 1 and not b & 1 and c > a and 2 * (a - b).bit_length() > c.bit_length():
+            s, d = (c + a) >> 1, (c - a) >> 1
+            p, q = math.isqrt(s), math.isqrt(d)
+            if p * p == s and q * q == d and 2 * p * q == b and math.gcd(p, q) == 1:
+                _setattr(self, "_pair", (q, p))
+                return
         if (c - a) * (c + a) != b * b:  # a^2 + b^2 = c^2 with two products, not three squares
             problem, error = "{}^2 + {}^2 != {}^2", NotATriple
         elif math.gcd(a, b) != 1:
@@ -165,7 +182,7 @@ def _proven(cls: type, *values: object):
 class _OpenPPT:
     # PPT's slots without its frozen __setattr__.  A hot path stores proven sides on one of these by plain
     # attribute stores, then sets its __class__ to PPT, which CPython allows between types of the same slots.
-    __slots__ = PPT.__match_args__
+    __slots__ = PPT.__slots__
 
 
 def _proven_fraction(q: int, p: int) -> Fraction:

@@ -166,13 +166,14 @@ def test_key_and_secondary_triples_match_formulas_on_big_triples(big_triples):
 
 def _assert_same_as_checked(built):
     # A record built without its constructor's checks is the one the checked constructor
-    # builds from the same fields, down to its repr, its slotted layout and its size.
+    # builds from the same fields, down to its repr, its slotted layout and its size.  A PPT
+    # has one private slot after its fields, for the pair a checked triple may keep.
     cls = type(built)
     fields = tuple(getattr(built, name) for name in cls.__match_args__)
     checked = cls(*fields)
     assert tuple(getattr(checked, name) for name in cls.__match_args__) == fields
     assert not hasattr(built, "__dict__") and not hasattr(checked, "__dict__")
-    assert cls.__slots__ == cls.__match_args__
+    assert cls.__slots__ == cls.__match_args__ + (("_pair",) if cls is PPT else ())
     assert built == checked and hash(built) == hash(checked)
     assert sys.getsizeof(built) == sys.getsizeof(checked)
     with pytest.raises(FrozenInstanceError):

@@ -462,13 +462,17 @@ def test_records_pickled_before_slots_still_load():
 
 
 def test_slotted_layout():
-    # Every record is slotted: no instance dict, one slot per field in declaration order, so a record
-    # built by _proven or by the tree's slot stores on its layout twin is the size of one built by the checked
-    # constructor.
+    # Every record is slotted: no instance dict and one slot per field in declaration order, and PPT has one private
+    # slot after its fields for the generator pair its constructor keeps.  So a triple built by _proven or by the
+    # tree's slot stores on its layout twin is the size of one built by the checked constructor, with a kept pair
+    # (5, 12, 13) or without one (3, 4, 5, whose legs differ by 1).
     for _, new in _pairs():
         assert not hasattr(new, "__dict__")
-        assert type(new).__slots__ == type(new).__match_args__
-    checked, proven = pa.PPT(3, 4, 5), pa.triple_from_primary(Fraction(1, 2))
-    assert sys.getsizeof(proven) == sys.getsizeof(checked)
+        private = ("_pair",) if type(new) is pa.PPT else ()
+        assert type(new).__slots__ == type(new).__match_args__ + private
+    checked, kept = pa.PPT(3, 4, 5), pa.PPT(5, 12, 13)
+    proven, built = pa.triple_from_primary(Fraction(1, 2)), pa.children(checked)[0]
+    assert kept._pair == (2, 3) and not hasattr(checked, "_pair")
+    assert {sys.getsizeof(t) for t in (checked, kept, proven, built)} == {sys.getsizeof(checked)}
     with pytest.raises(TypeError):
         vars(checked)

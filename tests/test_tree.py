@@ -842,10 +842,35 @@ def test_b_jump_lands_inside_the_run_with_few_letters_left():
         for floor in [0] + [p_i for _, p_i in pairs]:
             for start, (q, p) in enumerate(pairs):
                 left = sum(1 for q_i, _ in pairs[start:-1] if q_i >= floor)
-                k, q_k, p_k = tree._b_jump(q, p, floor)
+                k, q_k, p_k, power = tree._b_jump(q, p, floor)
+                assert power == tree._b_power(k)
                 assert (q_k, p_k) == pairs[start + k]
                 assert k == 0 or (0 < p_k - 2 * q_k <= q_k and q_k >= floor and left - k <= 4)
                 assert k > 0 or floor or left < 24
+
+
+@pytest.mark.parametrize("counts,shifted", [((97, 150), True), ((97, 200, 1000, 4000), False)])
+def test_a_tracked_regression_takes_one_b_power_per_long_b_run(monkeypatch, counts, shifted):
+    # A jump's B^k goes into the tracked column at the jump, and the run's other letters, few after a jump, are
+    # read from _B_POWERS at its end: at most one _b_power call per B run of 65 or more letters, on a chunk's top
+    # bits (shifted) as on a full pair, and the matrix is still the one the runs multiply out to.
+    code = drawn_code(1, "mixed", 3000 if shifted else 200)
+    for count in counts:
+        code = code + PathCode((("B", count),)) + PathCode.parse("C A")
+    q, p = apply_path(ROOT_GENERATOR, code).as_integer_ratio()
+    shift, floor = (p.bit_length() - tree._TOP_BITS, tree._TOP_FLOOR) if shifted else (0, 0)
+    q, p = q >> shift, p >> shift
+    calls = []
+    power = tree._b_power
+    monkeypatch.setattr(tree, "_b_power", lambda count: calls.append(count) or power(count))
+    taken: list = []
+    q_up, p_up, (w, x, y, z) = tree._regress(q, p, taken, floor, True)
+    long_runs = [count for letter, count in taken if letter == "B" and count >= 65]  # shorter ones use the table
+    assert long_runs == list(reversed(counts))
+    assert len(calls) <= len(long_runs)
+    assert (w * q + x * p, y * q + z * p) == (q_up, p_up)
+    a, b, c, d = matrix_by_runs(reversed(taken))
+    assert (w, x, y, z) == tuple((a * d - b * c) * m for m in (d, -b, -c, a))
 
 
 @pytest.mark.parametrize("count", [1000, 4000, 4719, 10**4, 33_333, 10**5])
