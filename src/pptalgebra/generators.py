@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 from numbers import Rational
 
-from .triple_core import PPT, TripleError, _assign, _proven, _proven_fraction, _record, _shown
+from .triple_core import PPT, TripleError, _assign, _proven, _proven_fraction, _record, _setattr, _shown
 
 __all__ = [
     "KeySequence", "Radii", "WrongParity", "format_fraction", "generators_of",
@@ -141,8 +141,8 @@ class Radii:
 
 
 def _generator_pair(t: PPT) -> tuple[int, int]:
-    # The primary generator q/p of t in lowest terms, with no Fraction and no gcd: the pair PPT() kept when it
-    # checked t on it, else read off t = (p^2 - q^2, 2pq, p^2 + q^2) for coprime q < p, as c + a = 2p^2 and b = 2pq.
+    # The primary generator q/p of t in lowest terms, with no Fraction and no gcd: the pair PPT() or _primary_triple
+    # kept, else read off t = (p^2 - q^2, 2pq, p^2 + q^2) for coprime q < p, as c + a = 2p^2 and b = 2pq.
     pair = getattr(t, "_pair", None)
     if pair is not None:
         return pair
@@ -181,8 +181,8 @@ def key_sequence_of(t: PPT) -> KeySequence:
 
 def triple_from_key(k: KeySequence) -> PPT:
     """Mixed-form construction: a = p2*q2, b = 2*p1*q1, c = p1*p2 - q1*q2."""
-    # A valid key has q1 < p1 coprime (gcd(q1, p1) = gcd(q1, q2)) and of opposite parity (q2 is odd).
-    return _primary_triple(k.q1, k.p1)
+    # A valid key has q1 < p1 coprime (gcd(q1, p1) = gcd(q1, q2)) and of opposite parity (q2 odd); int() as in primary.
+    return _primary_triple(int(k.q1), int(k.p1))
 
 
 def triple_from_primary(f: Fraction) -> PPT:
@@ -195,8 +195,10 @@ def _primary_triple(q: int, p: int) -> PPT:
     # Euclid: p^2 - q^2 is then odd and 2pq even, and a prime dividing p^2 - q^2 and
     # p^2 + q^2 is odd and divides 2p^2 and 2q^2, hence p and q.  A common factor of two
     # sides divides the third, so the triple is primitive and canonically oriented, and
-    # PPT need not check it again.
-    return _proven(PPT, p * p - q * q, 2 * p * q, p * p + q * q)
+    # PPT need not check it again.  It keeps (q, p) as PPT() does, so its pair reads are free.
+    t = _proven(PPT, p * p - q * q, 2 * p * q, p * p + q * q)
+    _setattr(t, "_pair", (q, p))
+    return t
 
 
 def triple_from_secondary(f: Fraction) -> PPT:

@@ -149,28 +149,14 @@ def step(f: Fraction, letter: str) -> Fraction:
     return apply_path(f, PathCode(((letter, 1),)))
 
 
-def _up(q: int, p: int) -> tuple[str, int, int, int]:
-    # The run ending at q/p, for 0 < q < p: (letter, count, parent q, parent p), a maximal A or C run or
-    # one B letter.  d = p - 2q picks the letter: d > q means A, 0 < d <= q means B, else C.  An A run
-    # subtracts 2q from p with q fixed and a C run subtracts the invariant p - q from both, so their lengths
-    # come from one division.  Only locate's fallback after a refused chunk calls it; _regress copies these
-    # steps inline, and may take a long B run by its Pell matrix: change both or neither.
-    d = p - 2 * q
-    if d > q:
-        count = (p - q - 1) // (2 * q)
-        return "A", count, q, p - 2 * count * q
-    if d > 0:
-        return "B", 1, d, q
-    delta = p - q
-    count = (q - 1) // delta
-    return "C", count, q - count * delta, p - count * delta
-
-
 def _regress(q: int, p: int, runs: list[tuple[str, int]], floor: int = 0,
              track: bool = False) -> tuple[int, int, tuple[int, int, int, int]]:
     # Regress q/p by maximal runs while 0 < q < p, a step takes letters and p stays
     # at or above floor (an A or C run is refused whole, a B run is cut letter by
     # letter); append the runs, bottom first, to `runs`, merging equal letters.
+    # d = p - 2q picks the letter: d > q means A, 0 < d <= q B, else C.  An A run
+    # keeps q and a C run keeps p - q, so each takes one division.  This is the one
+    # inverse step; parent takes one letter by the same rule.
     # Returns the pair reached and, if track, the matrix that sends (q, p) to it,
     # else the identity.  Only its column (x, z) on p is updated as it goes: an A or
     # C run is a row operation, a B run one product by B^-k, which is (-1)^k times
@@ -292,7 +278,7 @@ def parent(f: Fraction) -> tuple[Fraction, str] | Root:
         return ROOT
     if q == 1 and p == 3:
         raise SecondaryRoot("1/3 roots the secondary tree and has no parent here")
-    d = p - 2 * q  # picks the letter as in _up; one step up is unimodular, so the pair stays coprime
+    d = p - 2 * q  # picks the letter as in _regress; one step up is unimodular, so the pair stays coprime
     letter, q, p = ("A", q, d) if d > q else ("B", d, q) if d > 0 else ("C", -d, q)
     return _proven_fraction(q, p), letter
 
@@ -310,8 +296,11 @@ def locate(f: Fraction) -> PathCode:
     while p.bit_length() > _CHUNK_FROM_BITS:
         chunk, q_up, p_up = _top_chunk(q, p)
         if not (chunk and 0 < q_up < p_up):
-            letter, count, q_up, p_up = _up(q, p)
-            chunk = [(letter, count)]
+            # A refused chunk: regress at full size with the floor min(q, p - q), which admits the first run, so
+            # each pass takes one.  An A run keeps q and lands at p >= q + 1, a C run keeps p - q and lands above
+            # it, and a B letter needs only q >= floor.
+            q, p, _ = _regress(q, p, runs, min(q, p - q))
+            continue
         if runs and runs[-1][0] == chunk[0][0]:  # the seam
             chunk[0] = (chunk[0][0], runs[-1][1] + chunk[0][1])
             runs.pop()
@@ -413,7 +402,7 @@ def _child_triples(parents: Iterable[tuple[int, int]]) -> Iterator[PPT]:
     # The A, B and C child triples of each pair, in order.  This loop and iter_by_hypotenuse copy the child map of
     # _level_pairs, the sides of _primary_triple and _proven(PPT, ...), to save a Python call per triple: a change to
     # any of those three must be made in both copies too.  The sides go in by plain slot stores on the layout twin
-    # _OpenPPT, which then becomes a PPT, so every triple yielded is exactly a PPT.
+    # _OpenPPT, which then becomes a PPT, so every triple yielded is exactly a PPT; it keeps no pair.
     new = object.__new__
     for q, p in parents:
         qq, pp = q * q, p * p

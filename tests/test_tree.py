@@ -783,6 +783,56 @@ def test_regress_of_a_top_whose_q_truncates_to_zero(chunks):
     assert (0, False) in chunks
 
 
+def up_one_run(q: int, p: int) -> tuple[str, int, int, int]:
+    """The run ending at q/p, for 0 < q < p: (letter, count, parent q, parent p), a maximal A or C run or one B
+    letter; the oracle for locate's full-size step after a refused chunk."""
+    d = p - 2 * q
+    if d > q:
+        count = (p - q - 1) // (2 * q)
+        return "A", count, q, p - 2 * count * q
+    if d > 0:
+        return "B", 1, d, q
+    delta = p - q
+    count = (q - 1) // delta
+    return "C", count, q - count * delta, p - count * delta
+
+
+def assert_refused_chunk_step_takes_the_run_ending_there(q: int, p: int) -> int:
+    # After a refused chunk locate regresses (q, p) at full size with the floor min(q, p - q): it takes the run
+    # that ends at q/p and at most one letter more, a whole run or a B letter.  Returns the letters taken more.
+    runs: list = []
+    q_got, p_got, matrix = tree._regress(q, p, runs, min(q, p - q))
+    letter, count, q_up, p_up = up_one_run(q, p)
+    assert matrix == (1, 0, 0, 1) and p_got < p
+    assert runs[0] == (letter, count) and len(runs) <= 2
+    if len(runs) == 2:
+        letter, count, q_up, p_up = up_one_run(q_up, p_up)
+        assert runs[1] == (letter, count) == (letter, 1)
+    assert (q_got, p_got) == (q_up, p_up)
+    return len(runs) - 1
+
+
+@given(st.integers(3, 2**8000), st.data())
+def test_a_refused_chunk_step_takes_a_run_on_drawn_pairs(p, data):
+    q = data.draw(st.integers(1, p - 1))
+    assume(math.gcd(q, p) == 1)
+    assert_refused_chunk_step_takes_the_run_ending_there(q, p)
+
+
+def test_a_refused_chunk_step_takes_a_run_past_huge_runs_and_next_to_boundaries():
+    # Below A or C runs of 2^1100 letters the pair is near 0 or 1, and one more letter puts it next to 1/3 or 1/2:
+    # the pairs whose chunks are refused.
+    tails = [((letter, 2**1100),) for letter in "AC"] + [(("B", 1), (letter, 2**1100)) for letter in "AC"]
+    tails += [((run, 2**far), (letter, 1)) for far in (1032, 1100, 1600)
+              for run, letter in (("C", "A"), ("C", "B"), ("A", "B"), ("A", "C"))]
+    more = set()
+    for seed in range(3):
+        for tail in tails:
+            q, p = apply_path(ROOT_GENERATOR, drawn_code(seed, "mixed", 8000) + PathCode(tail)).as_integer_ratio()
+            more.add(assert_refused_chunk_step_takes_the_run_ending_there(q, p))
+    assert more == {0, 1}
+
+
 def test_b_power_table_holds_b_powers():
     assert tree._B_POWERS[0] == (1, 0, 0, 1)
     assert tree._B_POWERS == tuple(map(tree._b_power, range(65)))

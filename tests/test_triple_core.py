@@ -14,6 +14,7 @@ from pptalgebra import (
     PPT,
     DerivativeKind,
     InvalidParity,
+    KeySequence,
     NotATriple,
     NotPrimitive,
     PathCode,
@@ -27,9 +28,13 @@ from pptalgebra import (
     derivative,
     divisibility_witness,
     generators_of,
+    key_sequence_of,
     make_ppt,
+    triple_from_key,
     triple_from_primary,
+    triple_from_secondary,
 )
+from pptalgebra import generators
 from pptalgebra.generators import _generator_pair
 from pptalgebra.triple_core import _proven, _shown
 
@@ -287,6 +292,23 @@ def test_b_line_triples_keep_no_pair(k):
     checked = PPT(*t.sides())
     assert checked == t and not hasattr(checked, "_pair")
     assert _generator_pair(checked) == pair_by_isqrt(t)
+
+
+def test_triples_built_from_a_pair_keep_it(monkeypatch, big_triples):
+    # derivative of both kinds and the three constructions build the triple from its pair and keep that pair, as
+    # PPT() does, so reading it takes no isqrt; the pair is the one the sides give.
+    built = []
+    for t in [PPT(5, 12, 13), *big_triples]:
+        key = key_sequence_of(t)
+        built += [derivative(t, kind) for kind in DerivativeKind]
+        built += [triple_from_primary(key.primary), triple_from_key(key), triple_from_secondary(key.secondary)]
+    built.append(triple_from_key(KeySequence(True, True, 2, 3)))  # bool entries, kept as plain ints
+    want = [pair_by_isqrt(t) for t in built]
+    isqrt, roots = math.isqrt, []
+    monkeypatch.setattr(generators.math, "isqrt", lambda n: roots.append(n) or isqrt(n))
+    pairs = [_generator_pair(t) for t in built]
+    assert roots == []
+    assert pairs == want and all(type(v) is int for pair in pairs for v in pair)
 
 
 def test_a_kept_pair_is_no_field():
