@@ -222,10 +222,12 @@ def _b_jump(q: int, p: int, floor: int) -> tuple[int, int, int, tuple[int, int, 
     # 1.17 p, is the integer norm p d - q^2.  The norm of the top `width` bits is
     # off by less than 2^(width + 3): past 2^(width + 7) it gives bits(u) within a
     # bit, and below, enough letters remain to pay for the full norm.  A jump of
-    # fewer than about 16 letters costs more than the loop.  q loses about 1.2716
-    # bits a letter, which caps k at the floor; both bounds keep a margin of about
-    # three letters.  A landing that is still a B pair with q >= floor proves every
-    # letter skipped: forward B maps (0, 1) into (1/3, 1/2), and q only grows.
+    # fewer than about 16 letters costs more than the loop.  A landing that is still
+    # a B pair proves every letter skipped: forward B maps (0, 1) into (1/3, 1/2).
+    # The cap on k alone keeps the floor: going up from a B pair, q_(i-1)/q_i is at
+    # most 3, then at most 2.5, then tends to 1 + sqrt 2, so q loses at most about
+    # 1.2716 k + 1.4 bits, and the cap leaves 1.2716 k + 2 bits above the floor.
+    # Both bounds keep a margin of about three letters.
     width = 96 + p.bit_length() // 32
     shift = max(p.bit_length() - width, 0)
     top_p, top_q = p >> shift, q >> shift
@@ -240,7 +242,7 @@ def _b_jump(q: int, p: int, floor: int) -> tuple[int, int, int, tuple[int, int, 
     power = _B_POWERS[k] if k < 65 else _b_power(k)
     b0, b1, _, b3 = power
     q_k, p_k = (b1 * p - b3 * q, b1 * q - b0 * p) if k & 1 else (b3 * q - b1 * p, b0 * p - b1 * q)
-    if 0 < p_k - 2 * q_k <= q_k and q_k >= floor:
+    if 0 < p_k - 2 * q_k <= q_k:
         return k, q_k, p_k, power
     return 0, q, p, _B_POWERS[0]
 

@@ -127,20 +127,18 @@ class PPT:
         for side in (a, b, c):
             if not isinstance(side, int) or side <= 0:
                 raise TripleError(f"sides must be positive integers, got {_shown(side, 'integer', repr)}")
-        # The check on the half-size generator pair, kept in _pair for generators._generator_pair.  Let
-        # P^2 = (c + a)/2, Q^2 = (c - a)/2, 2PQ = b and gcd(P, Q) = 1.  Then a = P^2 - Q^2 and c = P^2 + Q^2, so
-        # a^2 + b^2 = (P^2 - Q^2)^2 + 4P^2Q^2 = c^2.  A prime dividing both legs is odd, as a is, and divides c,
-        # so it divides c + a = 2P^2 and c - a = 2Q^2, hence P and Q, which gcd(P, Q) = 1 rules out.  So every
-        # triple this accepts is a PPT with a odd and b even, and by Euclid's parametrization every such PPT is
-        # accepted.  It takes two full-size isqrts, three half-size products and a half-size gcd, where the sides'
-        # check takes two full products and a full gcd.  But gcd(a, b) ends after one short division when the
-        # legs' difference is short, as on the Pell line B^k where it is 1: measured at 8k-262k bits, the pair
-        # check pays only once the difference has more than about half the bits of c.  Shorter differences, and
-        # every input the pair check refuses, take the sides' check below, whose errors are the ones raised.
-        if a & 1 and c & 1 and not b & 1 and c > a and 2 * (a - b).bit_length() > c.bit_length():
-            s, d = (c + a) >> 1, (c - a) >> 1
-            p, q = math.isqrt(s), math.isqrt(d)
-            if p * p == s and q * q == d and 2 * p * q == b and math.gcd(p, q) == 1:
+        # The check on the half-size generator pair, kept in _pair for generators._generator_pair: Euclid's
+        # parametrization (a, b, c) = (P^2 - Q^2, 2PQ, P^2 + Q^2) with gcd(P, Q) = 1 and a odd, which gives every
+        # PPT with a odd and only those.  It takes two full-size isqrts, two half-size squares (p * p, which CPython
+        # squares faster than 2p times p), a product and a gcd, where the sides' check takes two full products and
+        # a full gcd.  But gcd(a, b) ends after one short division when the legs' difference is short, as on the
+        # Pell line B^k where it is 1: measured at 8k-262k bits, the pair check pays only once the difference has
+        # more than about half the bits of c.  Shorter differences, and every input the pair check refuses, take
+        # the sides' check below, whose errors are the ones raised.
+        if a & 1 and c > a and 2 * (a - b).bit_length() > c.bit_length():
+            s, d = c + a, c - a
+            p, q = math.isqrt(s >> 1), math.isqrt(d >> 1)
+            if 2 * (p * p) == s and 2 * (q * q) == d and 2 * p * q == b and math.gcd(p, q) == 1:
                 _setattr(self, "_pair", (q, p))
                 return
         if (c - a) * (c + a) != b * b:  # a^2 + b^2 = c^2 with two products, not three squares

@@ -304,6 +304,20 @@ def test_is_derivative_matches_forward_table():
         assert hits > 0
 
 
+def test_derivative_hits_are_the_images_of_the_small_triples(by_hypotenuse):
+    # S(t) has hypotenuse c^2 + ab > c^2, and S'(t) has c^2 - ab >= c^2/2 since 2ab <= a^2 + b^2.  So the
+    # derivatives with hypotenuse <= bound are the images of the triples with c <= sqrt(bound) (major) or
+    # c <= sqrt(2 bound) (minor): about sqrt(bound) triples, where the sweep takes bound/(2 pi).
+    bound = 10**5
+    hits = {}
+    for kind, below in (MAJOR, math.isqrt(bound)), (MINOR, math.isqrt(2 * bound)):
+        images = {d: s for s in iter_by_hypotenuse(below) if (d := derivative(s, kind)).c <= bound}
+        hits[kind] = {t: s for t in by_hypotenuse if (s := is_derivative(t, kind)) is not None}
+        assert hits[kind] == images
+    assert (len(hits[MAJOR]), len(hits[MINOR])) == (43, 62)
+    assert not hits[MAJOR].keys() & hits[MINOR].keys()
+
+
 def test_root_triple_is_underivable():
     assert is_derivative(make_ppt(3, 4, 5), MAJOR) is None
     assert is_derivative(make_ppt(3, 4, 5), MINOR) is None

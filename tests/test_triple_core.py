@@ -78,6 +78,11 @@ def test_rejects_nonpositive_and_nonint():
             make_ppt(*bad)
     with pytest.raises(TripleError):
         make_ppt(3.0, 4, 5)  # type: ignore[arg-type]
+    # Sides that sorted() cannot order with ints: the side check comes first, so these raise no TypeError.
+    with pytest.raises(TripleError, match="^sides must be positive integers, got '3'$"):
+        make_ppt("3", 4, 5)  # type: ignore[arg-type]
+    with pytest.raises(TripleError, match="^sides must be positive integers, got None$"):
+        make_ppt(None, 4, 5)  # type: ignore[arg-type]
     with pytest.raises(TripleError, match="^sides must be positive integers, got 0$"):
         PPT(0, 4, 5)
     with pytest.raises(TripleError, match=r"^sides must be positive integers, got 3\.0$"):
@@ -229,13 +234,19 @@ def test_drawn_triples_keep_their_pair(p, data):
 
 def invalid_variants(t: PPT) -> list[tuple[int, int, int]]:
     # Multiples by 4 and by odd squares, which pass the square checks and fail only on gcd(P, Q); swapped legs;
-    # c and b off by 2, which keeps every side's parity; and c at or below a.
+    # c and b off by 2, which keeps every side's parity; c off by 1, which makes c + a odd; and c at or below a.
+    # Each near miss below fails one check of the pair route alone: a - 2 and c + 2 keep P and fail 2Q^2 = c - a,
+    # a + 2 and c + 2 keep Q and fail 2P^2 = c + a, and twice the swapped triple is Euclid's (P, Q) = (p + q, p - q)
+    # with an even first leg, which only the parity of a refuses.
     a, b, c = t.sides()
     return [
         *((k * a, k * b, k * c) for k in (4, 9, 25, 225)),
         (b, a, c),
-        *((a, b, c + e) for e in (2, -2)),
+        *((a, b, c + e) for e in (2, -2, 1, -1)),
         *((a, b + e, c) for e in (2, -2)),
+        (a - 2, b, c + 2),
+        (a + 2, b, c + 2),
+        (2 * b, 2 * a, 2 * c),
         (a, b, a),
         (c, b, a),
         (a, b, a - 2),
