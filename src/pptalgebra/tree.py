@@ -224,10 +224,10 @@ def _b_jump(q: int, p: int, floor: int) -> tuple[int, int, int, tuple[int, int, 
     # bit, and below, enough letters remain to pay for the full norm.  A jump of
     # fewer than about 16 letters costs more than the loop.  A landing that is still
     # a B pair proves every letter skipped: forward B maps (0, 1) into (1/3, 1/2).
-    # The cap on k alone keeps the floor: going up from a B pair, q_(i-1)/q_i is at
-    # most 3, then at most 2.5, then tends to 1 + sqrt 2, so q loses at most about
-    # 1.2716 k + 1.4 bits, and the cap leaves 1.2716 k + 2 bits above the floor.
-    # Both bounds keep a margin of about three letters.
+    # The cap alone keeps the floor, which the skipped letters need only of q_(k-1) = p_k.
+    # Up from a B pair q_(i-1) = 2 q_i + q_(i+1) and p_k <= 3 q_k, so q_0 <= H_(k+1) q_k with
+    # H = 1, 3, 7, 17, 41, ...: q loses under 1.2716 k + 0.32 bits.  The cap leaves log2(q / floor)
+    # > 1.2715 k + 1 after bit_length's rounding: enough for k < 6000; a nonzero floor keeps k < 340.
     width = 96 + p.bit_length() // 32
     shift = max(p.bit_length() - width, 0)
     top_p, top_q = p >> shift, q >> shift

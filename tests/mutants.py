@@ -9,12 +9,13 @@ files that cover it with -x against the copy, and prints "killed" (a test failed
 "survived".  An unmutated copy runs first, as the control.
 
 A mutant is expected to be killed unless it is marked "equivalent" (a proof, or a
-search, shows it changes no result) or "speed" (it changes only the time taken, which
-a perf test guards, not this script).  Run from the repository root:
+search, shows it changes no result); an outcome that differs is marked UNEXPECTED.
+The script only reports: it exits 0 whatever the outcomes, and fails only when the
+unmutated copy cannot be tested.  Run from the repository root:
 
-    python3 tests/mutants.py [name ...]
+    python3 tests/mutants.py
 
-It exits 1 when an outcome differs from the expected one.  pytest does not collect it.
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class Mutant(NamedTuple):
     old: str  # occurs exactly once in the file
     new: str
     why: str
-    expected: str  # "killed", "equivalent" or "speed"
+    expected: str  # "killed" or "equivalent"
     tests: tuple[str, ...]
 
 
@@ -78,8 +79,6 @@ MUTANTS = [
            "equivalent", TREE),
     Mutant("b-jump-k-zero", "tree.py", "if k < 1:  # the floor is near", "if k < 0:  # the floor is near",
            "a k of 0 lands on (q, p) itself with the identity, the refusal's own result", "equivalent", TREE),
-    Mutant("b-jump-early", "tree.py", "if count == 32:", "if count == 2:",
-           "a jump tried from the second letter of a run: the same letters, after more tests", "speed", TREE),
     Mutant("regress-a-floor", "tree.py", "if (p_up := p - 2 * count * q) < floor:",
            "if (p_up := p - 2 * count * q) < 0:", "an A run taken past a chunk's floor", "killed", TREE),
     Mutant("locate-any-chunk", "tree.py", "if not (chunk and 0 < q_up < p_up):", "if not chunk:",
@@ -100,29 +99,22 @@ def run_tests(src: Path, tests: tuple[str, ...], run: str) -> int:
     return subprocess.run(command, cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 
-def main(names: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
+def main() -> None:
     with tempfile.TemporaryDirectory() as scratch:
         src = Path(scratch) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         found = subprocess.run([sys.executable, "-c", "import pptalgebra; print(pptalgebra.__file__)"],
                                env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
         if not found.stdout.startswith(str(src)):
-            print(f"the copy is not the package imported: {found.stdout.strip() or found.stderr.strip()}")
-            return 2
-        if run_tests(src, tuple(sorted({t for m in chosen for t in m.tests})), "control") != 0:
-            print("control: the unmutated copy fails its tests, so no mutant can be judged")
-            return 2
+            sys.exit(f"the copy is not the package imported: {found.stdout.strip() or found.stderr.strip()}")
+        if run_tests(src, tuple(sorted({t for m in MUTANTS for t in m.tests})), "control") != 0:
+            sys.exit("control: the unmutated copy fails its tests, so no mutant can be judged")
         unexpected = 0
-        for m in chosen:
+        for m in MUTANTS:
             path = src / "pptalgebra" / m.file
             original = path.read_text()
             if original.count(m.old) != 1:
-                print(f"{m.name}: its old text occurs {original.count(m.old)} times in {m.file}")
+                print(f"{m.name}: its old text occurs {original.count(m.old)} times in {m.file}  UNEXPECTED")
                 unexpected += 1
                 continue
             path.write_text(original.replace(m.old, m.new))
@@ -134,9 +126,8 @@ def main(names: list[str]) -> int:
             unexpected += not ok
             print(f"{m.name:17} {outcome:9} expected {m.expected:10} {time.perf_counter() - start:5.1f} s"
                   f"{'' if ok else '  UNEXPECTED'}  {m.why}", flush=True)
-    print(f"{len(chosen) - unexpected} of {len(chosen)} mutants as expected")
-    return 1 if unexpected else 0
+    print(f"{len(MUTANTS) - unexpected} of {len(MUTANTS)} mutants as expected")
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()
