@@ -79,7 +79,7 @@ class PathCode:
             if letter not in ("A", "B", "C"):
                 raise ValueError(f"path letter must be A, B or C, got {_shown(letter, 'integer', repr)}")
             if not isinstance(count, int):
-                raise ValueError(f"run length must be an integer, got {count!r} for {letter}")
+                raise TypeError(f"run length must be an integer, got {_shown(count, 'integer', repr)} for {letter}")
             if count < 0:
                 raise ValueError(f"negative run length {_shown(count, 'integer')} for {letter}")
             if count == 0:
@@ -450,9 +450,8 @@ def iter_by_hypotenuse(bound: int) -> Iterator[PPT]:
     if bound < 5:
         return
     new = object.__new__
-    stack = [(1, 2)]
-    while stack:
-        q, p = stack.pop()
+    q, p, stack = 1, 2, []
+    while True:
         qq, pp, b = q * q, p * p, 2 * p * q  # _primary_triple(q, p), with no call, built as in _child_triples
         t = new(_OpenPPT)
         t.a = pp - qq
@@ -460,16 +459,21 @@ def iter_by_hypotenuse(bound: int) -> Iterator[PPT]:
         t.c = pp + qq
         t.__class__ = PPT
         yield t
-        # Push A, B, C by the child map of _level_pairs.
-        # B's hypotenuse is C's plus (2p + q)^2 - (2p - q)^2 = 8pq = 4b: B waits on C.
-        r = p + 2 * q
-        if qq + r * r <= bound:
-            stack.append((q, r))
-        r = 2 * p - q
+        # Children A, B, C by _level_pairs' child map, yielded as by pushing all three and popping: on into C,
+        # pushing A and B, else into A.  B's hypotenuse is C's plus (2p + q)^2 - (2p - q)^2 = 8pq = 4b: B waits on C.
+        r, s = 2 * p - q, p + 2 * q
         if (c := pp + r * r) <= bound:
+            if qq + s * s <= bound:
+                stack.append((q, s))
             if c + 4 * b <= bound:
                 stack.append((p, 2 * p + q))
-            stack.append((p, r))
+            q, p = p, r
+        elif qq + s * s <= bound:
+            p = s
+        elif stack:
+            q, p = stack.pop()
+        else:
+            return
 
 
 def derive_generator(f: Fraction, kind: DerivativeKind) -> Fraction:

@@ -43,6 +43,8 @@ class Mutant(NamedTuple):
 
 
 CORE, TREE, SYMPHONIC = ("tests/test_triple_core.py",), ("tests/test_tree.py",), ("tests/test_symphonic.py",)
+HOT = ("tests/test_hot_path.py",)
+SQUARE_LOOP = "    _NOT_SQUARE_MOD[_x * _x % 1155] = False\n"
 ROUTE = "if a & 1 and c > a and 2 * (a - b).bit_length() > c.bit_length():"
 CHECKS = "if 2 * (p * p) == s and 2 * (q * q) == d and 2 * p * q == b and math.gcd(p, q) == 1:"
 
@@ -87,6 +89,11 @@ MUTANTS = [
            "one copy has no seam: the seam branch gives runs[:-1] + runs[-1:]", "equivalent", TREE),
     Mutant("anti-integral", "symphonic.py", "    if m * m != disc:\n", "    if m * m > disc:\n",
            "the integral branch taken for a non-square discriminant", "killed", SYMPHONIC),
+    Mutant("screen-square-1", "symphonic.py", SQUARE_LOOP, SQUARE_LOOP + "_NOT_SQUARE_MOD[1] = True\n",
+           "the square residue 1 marked as a non-square: a hit with disc = 1 mod 1155 would be missed", "killed", HOT),
+    Mutant("screen-modulus", "symphonic.py", "if _NOT_SQUARE_MOD[disc % 1155] or", "if _NOT_SQUARE_MOD[disc % 1001] or",
+           "is_derivative's residue taken mod 1001, not the table's 1155, refuses square discriminants", "killed",
+           SYMPHONIC),
 ]
 
 

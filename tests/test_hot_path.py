@@ -340,6 +340,32 @@ def test_misses_never_read_the_generator_pair(monkeypatch):
     assert 0 < hits < len(triples)
 
 
+def test_square_screen_marks_exactly_the_non_squares():
+    # Recomputed naively: r is marked when no x over a whole period 0..M-1 squares to it mod M.
+    modulus = len(symphonic._NOT_SQUARE_MOD)
+    squares = {x * x % modulus for x in range(modulus)}
+    assert symphonic._NOT_SQUARE_MOD == tuple(r not in squares for r in range(modulus))
+
+
+def test_square_screen_spares_most_misses_their_isqrt(monkeypatch, by_hypotenuse):
+    # A positive discriminant c -+ 3b reaches isqrt only when its residue passes the screen: every hit's, and
+    # at most a tenth of the misses'.  Some misses do pass it without being squares; the preimage-route oracle
+    # tests below meet them.
+    isqrt, roots = math.isqrt, []
+    monkeypatch.setattr(math, "isqrt", lambda n: roots.append(n) or isqrt(n))
+    hits = misses = reached = 0
+    for t in by_hypotenuse:
+        for kind, disc in (DerivativeKind.MAJOR, t.c - 3 * t.b), (DerivativeKind.MINOR, t.c + 3 * t.b):
+            roots.clear()
+            if is_derivative(t, kind) is None:
+                misses += disc > 0
+                reached += disc in roots
+            else:
+                hits += 1
+                assert disc in roots
+    assert hits > 0 and 0 < reached <= misses // 10
+
+
 def _square_root_or_none(disc: int) -> int | None:
     # isqrt and compare: the oracle for _discriminant's m.
     m = math.isqrt(disc) if disc >= 0 else None

@@ -161,7 +161,7 @@ class PathCode:
             if letter not in ("A", "B", "C"):
                 raise ValueError(f"path letter must be A, B or C, got {_shown(letter, 'integer', repr)}")
             if not isinstance(count, int):
-                raise ValueError(f"run length must be an integer, got {count!r} for {letter}")
+                raise TypeError(f"run length must be an integer, got {_shown(count, 'integer', repr)} for {letter}")
             if count < 0:
                 raise ValueError(f"negative run length {_shown(count, 'integer')} for {letter}")
             if count == 0:
@@ -230,7 +230,8 @@ CASES = {
     IntegerSquareScale: [(37, (111, 148, 185), 84, 60), (1, (3, 4, 5), 2, 1)],
     PathCode: [
         (), ((("A", 2), ("C", 3)),), ((("A", 1), ("A", 2), ("B", 0), ("A", 1)),), ((("B", _BIG),),),
-        ((("D", 1),),), ((("A", -1),),), ((("A", 1.5),),), ((("A", -_BIG),),), (((1, 1),),),
+        ((("D", 1),),), ((("A", -1),),), ((("A", 1.5),),), ((("A", Fraction(_BIG, 3)),),), ((("A", -_BIG),),),
+        (((1, 1),),),
     ],
     PellPair: [(1, 1, 1), (3, 5, 7), (40, 10**15, 10**15 + 1)],
     Family: [

@@ -380,7 +380,7 @@ def test_invalid_codes_rejected():
         PathCode((("A", -1),))
     with pytest.raises(ValueError):
         PathCode((("D", 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         PathCode((("A", 1.5),))
 
 
@@ -1112,8 +1112,8 @@ _EDGE_CHILDREN_UP_TO = 2000
 
 
 def _reference_by_hypotenuse(bound: int) -> list[tuple[int, int, int]]:
-    # The sides iter_by_hypotenuse yields, from a depth-first walk that tests each of
-    # the A, B and C children against the bound on its own and pushes them in that order.
+    # The sides iter_by_hypotenuse yields, from a depth-first walk that pops every pair from its stack,
+    # tests each of the A, B and C children against the bound on its own and pushes them in that order.
     if bound < 5:
         return []
     found, stack = [], [(1, 2)]
@@ -1130,7 +1130,7 @@ def test_iter_by_hypotenuse_matches_the_childwise_reference_at_every_edge():
     # B is tested only once C is in, since B's hypotenuse is C's plus 8pq.  So the bounds
     # that matter sit at a child's hypotenuse: every child is checked just in and just out.
     edges = {c + d for _, _, c in _reference_by_hypotenuse(_EDGE_CHILDREN_UP_TO)[1:] for d in (-1, 0)}
-    for bound in sorted(set(range(601)) | edges):
+    for bound in sorted(set(range(601)) | edges | {10**5}):
         assert [t.sides() for t in iter_by_hypotenuse(bound)] == _reference_by_hypotenuse(bound)
 
 
@@ -1320,6 +1320,7 @@ def test_kinds_and_lines_of_the_wrong_type_raise_type_error():
 
 def test_non_integer_indices_and_codes_that_are_not_path_codes_raise_type_error():
     # The type is checked before the sign, so 0.5 is refused as a non-integer; integers keep their ValueError.
+    # A PathCode run length of the wrong type is a TypeError too, as the index arguments are.
     for bad in (2.5, 0.5, Fraction(3), "3", None):
         shown = re.escape(repr(bad))
         with pytest.raises(TypeError, match=f"^Pell index must be an integer, got {shown}$"):
@@ -1328,6 +1329,11 @@ def test_non_integer_indices_and_codes_that_are_not_path_codes_raise_type_error(
             Family(FamilyLine.FERMAT, bad)
         with pytest.raises(TypeError, match=f"^family index must be an integer, got {shown}$"):
             square_triangle_triple(bad)
+        with pytest.raises(TypeError, match=f"^run length must be an integer, got {shown} for A$"):
+            PathCode((("B", 2), ("A", bad)))
+    # A run length past the interpreter's int-to-str digit limit is named by its size, as the other messages do.
+    with pytest.raises(TypeError, match="^run length must be an integer, got a 16610-bit integer for C$"):
+        PathCode((("C", Fraction(10**5000, 3)),))
     for bad in ("AB", (("A", 1),), None):
         with pytest.raises(TypeError, match=f"^expected a PathCode, got {re.escape(repr(bad))}$"):
             apply_path(ROOT_GENERATOR, bad)

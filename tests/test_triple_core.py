@@ -36,6 +36,7 @@ from pptalgebra import (
 )
 from pptalgebra import generators
 from pptalgebra.generators import _generator_pair
+from pptalgebra.symphonic import _NOT_SQUARE_MOD
 from pptalgebra.triple_core import _proven, _shown
 
 
@@ -276,8 +277,8 @@ def test_odd_square_multiples_fail_on_the_pair_gcd(p, data):
 
 def test_a_checked_generic_triple_reads_its_pair_with_no_isqrt(monkeypatch, big_triples):
     # derivative and generators_of read the kept pair and take no isqrt; anti_derivative takes only the one of
-    # its discriminant c -+ 3b, when that is positive.  The _proven twin, which keeps no pair, takes the isqrt of
-    # (c + a)/2 for each read, so the spy sees the pair reads it is there to catch.
+    # its discriminant c -+ 3b, when that is positive and passes the square screen.  The _proven twin, which keeps
+    # no pair, takes the isqrt of (c + a)/2 for each read, so the spy sees the pair reads it is there to catch.
     t = big_triples[-1]
     checked, twin = PPT(*t.sides()), _proven(PPT, *t.sides())
     assert keeps_pair(*t.sides())
@@ -292,7 +293,8 @@ def test_a_checked_generic_triple_reads_its_pair_with_no_isqrt(monkeypatch, big_
     assert roots == []
     for kind in DerivativeKind:
         assert anti_derivative(checked, kind) == outputs[kind][1]
-    assert roots == [disc for disc in (t.c - 3 * t.b, t.c + 3 * t.b) if disc > 0]
+    discs = (t.c - 3 * t.b, t.c + 3 * t.b)
+    assert roots == [disc for disc in discs if disc > 0 and not _NOT_SQUARE_MOD[disc % len(_NOT_SQUARE_MOD)]]
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 10, 97, 1000, 4000])
