@@ -239,6 +239,15 @@ def anti_derivative(t: PPT, kind: DerivativeKind) -> AntiDerivative:
     is set exactly when they collapse to integers, which are then the legs of
     a primitive triple whose derivative is t.
     """
+    if kind is not _MAJOR and kind is not _MINOR:
+        raise TypeError(f"expected a DerivativeKind, got {_shown(kind, 'integer', repr)}")
+    disc = t.c - 3 * t.b if kind is _MAJOR else t.c + 3 * t.b  # read off the sides, screened as is_derivative does
+    return _anti_derivative(t, kind, disc, math.isqrt(disc) if disc > 0 and not _NOT_SQUARE_MOD[disc % 1155] else 0)
+
+
+def _anti_derivative(t: PPT, kind: DerivativeKind, disc: int, m: int) -> AntiDerivative:
+    # anti_derivative's step past the root: m = isqrt(disc) when disc is a square, else any m with m^2 != disc, so
+    # is_derivative's hit passes on the root it took.
     # t = (P^2 - Q^2, 2PQ, P^2 + Q^2) and u = P +- Q is odd, so no g > 1 divides both u and 2: the roots are
     # what QuadraticSurd(u, disc, 2, +-1) normalises to, in lowest terms.  disc = u^2 -+ 8PQ = c -+ 3b, as
     # u^2 = c +- b and 8PQ = 4b, is odd too: never 0, so never 0^2.  A square disc = m^2, the case with an
@@ -247,13 +256,9 @@ def anti_derivative(t: PPT, kind: DerivativeKind) -> AntiDerivative:
     # are positive and x^2 + y^2 = hyp^2 with hyp = P -+ Q.  A prime dividing both legs divides P + Q and P - Q,
     # hence P and Q, so the legs are coprime.  Two odd squares sum to 2 mod 4, so exactly one leg is odd; it goes
     # first.  Their derivative is (P^2 - Q^2, 2PQ, P^2 + Q^2) = t, so nothing is re-checked.
-    if kind is not _MAJOR and kind is not _MINOR:
-        raise TypeError(f"expected a DerivativeKind, got {_shown(kind, 'integer', repr)}")
     q, p = _generator_pair(t)
     sign = 1 if kind is _MAJOR else -1
     u, hyp = p + sign * q, p - sign * q
-    disc = t.c - sign * 3 * t.b  # read off the sides, with no product, and screened as is_derivative does
-    m = math.isqrt(disc) if disc > 0 and not _NOT_SQUARE_MOD[disc % 1155] else 0
     if m * m != disc:
         roots = (_proven(QuadraticSurd, u, disc, 2, 1), _proven(QuadraticSurd, u, disc, 2, -1))
         return AntiDerivative(kind, roots, hyp, None)
@@ -268,7 +273,8 @@ def is_derivative(t: PPT, kind: DerivativeKind) -> PPT | None:
 
     A miss is decided from the sides alone, reading neither the generator pair nor any surd."""
     # anti_derivative's disc = u^2 -+ 8PQ read off the sides ((P +- Q)^2 = c +- b, 8PQ = 4b) and screened as there: a
-    # miss reads no pair, takes no second frame, no isqrt if disc < 0 or marked.  Only a hit calls anti_derivative.
+    # miss reads no pair, takes no second frame, no isqrt if disc < 0 or marked.  Only a hit goes on, with its root,
+    # into anti_derivative's step past the root.
     if kind is _MAJOR:
         disc = t.c - 3 * t.b
         if disc < 0:
@@ -279,7 +285,7 @@ def is_derivative(t: PPT, kind: DerivativeKind) -> PPT | None:
         raise TypeError(f"expected a DerivativeKind, got {_shown(kind, 'integer', repr)}")
     if _NOT_SQUARE_MOD[disc % 1155] or (m := math.isqrt(disc)) * m != disc:
         return None
-    return anti_derivative(t, kind).integral
+    return _anti_derivative(t, kind, disc, m).integral
 
 
 def factor_class_transition(t: PPT) -> tuple[TClass, TClass]:

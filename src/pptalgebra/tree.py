@@ -391,31 +391,56 @@ def apply_path(f: Fraction, code: PathCode) -> Fraction:
     return _proven_fraction(*_path_pair(code.runs, q, p))
 
 
+def _child_pairs(pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    # The A, B and C child pairs of each pair, in order: q/p has the children (q, p + 2q), (p, 2p + q), (p, 2p - q).
+    for q, p in pairs:
+        yield q, p + 2 * q
+        yield p, 2 * p + q
+        yield p, 2 * p - q
+
+
 def _level_pairs(n: int) -> Iterator[tuple[int, int]]:
-    # Generator pairs of level n, left to right; q/p has the children (q, p + 2q), (p, 2p + q), (p, 2p - q).
-    # One generator expression per level, each over the one above, so only one pending pair per level is held.
+    # Generator pairs of level n, left to right.  One _child_pairs generator per level, each over the one above, so
+    # only one pending pair per level is held.
     pairs: Iterator[tuple[int, int]] = iter(((1, 2),))
     for _ in range(n):
-        pairs = (child for q, p in pairs for child in ((q, p + 2 * q), (p, 2 * p + q), (p, 2 * p - q)))
+        pairs = _child_pairs(pairs)
     return pairs
 
 
 def _child_triples(parents: Iterable[tuple[int, int]]) -> Iterator[PPT]:
-    # The A, B and C child triples of each pair, in order.  This loop and iter_by_hypotenuse copy the child map of
-    # _level_pairs, the sides of _primary_triple and _proven(PPT, ...), to save a Python call per triple: a change to
-    # any of those three must be made in both copies too.  The sides go in by plain slot stores on the layout twin
-    # _OpenPPT, which then becomes a PPT, so every triple yielded is exactly a PPT; it keeps no pair.
+    # The A, B and C child triples of each pair, in order, one block each.  These blocks and iter_by_hypotenuse copy
+    # the child map of _child_pairs, the sides of _primary_triple and _proven(PPT, ...), to save a Python call and a
+    # tuple per triple: a change to any of those three must be made in each block and in iter_by_hypotenuse too.  The
+    # sides go in by plain slot stores on the layout twin _OpenPPT, which then becomes a PPT, so every triple yielded
+    # is exactly a PPT; it keeps no pair.
     new = object.__new__
     for q, p in parents:
         qq, pp = q * q, p * p
-        for cq, cqq, cp in (q, qq, p + 2 * q), (p, pp, 2 * p + q), (p, pp, 2 * p - q):
-            rr = cp * cp
-            t = new(_OpenPPT)
-            t.a = rr - cqq
-            t.b = 2 * cq * cp
-            t.c = rr + cqq
-            t.__class__ = PPT
-            yield t
+        r = p + 2 * q
+        rr = r * r
+        t = new(_OpenPPT)
+        t.a = rr - qq
+        t.b = 2 * q * r
+        t.c = rr + qq
+        t.__class__ = PPT
+        yield t
+        r = 2 * p + q
+        rr = r * r
+        t = new(_OpenPPT)
+        t.a = rr - pp
+        t.b = 2 * p * r
+        t.c = rr + pp
+        t.__class__ = PPT
+        yield t
+        r = 2 * p - q
+        rr = r * r
+        t = new(_OpenPPT)
+        t.a = rr - pp
+        t.b = 2 * p * r
+        t.c = rr + pp
+        t.__class__ = PPT
+        yield t
 
 
 def children(t: PPT) -> tuple[PPT, PPT, PPT]:
@@ -452,14 +477,14 @@ def iter_by_hypotenuse(bound: int) -> Iterator[PPT]:
     new = object.__new__
     q, p, stack = 1, 2, []
     while True:
-        qq, pp, b = q * q, p * p, 2 * p * q  # _primary_triple(q, p), with no call, built as in _child_triples
+        qq, pp, b = q * q, p * p, 2 * p * q  # _primary_triple(q, p), with no call, built as in _child_triples' blocks
         t = new(_OpenPPT)
         t.a = pp - qq
         t.b = b
         t.c = pp + qq
         t.__class__ = PPT
         yield t
-        # Children A, B, C by _level_pairs' child map, yielded as by pushing all three and popping: on into C,
+        # Children A, B, C by _child_pairs' child map, yielded as by pushing all three and popping: on into C,
         # pushing A and B, else into A.  B's hypotenuse is C's plus (2p + q)^2 - (2p - q)^2 = 8pq = 4b: B waits on C.
         r, s = 2 * p - q, p + 2 * q
         if (c := pp + r * r) <= bound:

@@ -47,6 +47,7 @@ HOT = ("tests/test_hot_path.py",)
 SQUARE_LOOP = "    _NOT_SQUARE_MOD[_x * _x % 1155] = False\n"
 ROUTE = "if a & 1 and c > a and 2 * (a - b).bit_length() > c.bit_length():"
 CHECKS = "if 2 * (p * p) == s and 2 * (q * q) == d and 2 * p * q == b and math.gcd(p, q) == 1:"
+CHILD_PAIRS = "        yield q, p + 2 * q\n        yield p, 2 * p + q\n"
 
 MUTANTS = [
     Mutant("ppt-a-odd", "triple_core.py", ROUTE, ROUTE.replace("a & 1 and ", ""),
@@ -87,6 +88,13 @@ MUTANTS = [
            "a chunk accepted without the in-domain test that proves its letters", "killed", TREE),
     Mutant("path-times", "tree.py", "if times < 2 or not runs", "if times < 1 or not runs",
            "one copy has no seam: the seam branch gives runs[:-1] + runs[-1:]", "equivalent", TREE),
+    Mutant("child-b", "tree.py", "        r = 2 * p + q\n", "        r = 2 * p - q\n",
+           "_child_triples' middle block builds the C child, so each level repeats its C triples", "killed", TREE),
+    Mutant("child-a-leg", "tree.py", "t.a = rr - qq", "t.a = rr - pp",
+           "_child_triples' A block takes its odd leg from the parent's p, not its q", "killed", TREE),
+    Mutant("child-pairs-order", "tree.py", CHILD_PAIRS, "".join(reversed(CHILD_PAIRS.splitlines(keepends=True))),
+           "_child_pairs yields B before A, so levels below the first come out of left-to-right order", "killed",
+           TREE),
     Mutant("anti-integral", "symphonic.py", "    if m * m != disc:\n", "    if m * m > disc:\n",
            "the integral branch taken for a non-square discriminant", "killed", SYMPHONIC),
     Mutant("screen-square-1", "symphonic.py", SQUARE_LOOP, SQUARE_LOOP + "_NOT_SQUARE_MOD[1] = True\n",

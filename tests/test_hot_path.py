@@ -47,6 +47,7 @@ from pptalgebra import (
     make_ppt,
     radii,
     reciprocal_triple,
+    step,
     triple_from_key,
     triple_from_primary,
     triple_from_secondary,
@@ -76,6 +77,17 @@ def test_generator_pair_is_the_half_angle_tangent(pair):
     t = triple_from_primary(Fraction(*pair))
     assert _generator_pair(t) == _half_angle(t) == pair
     assert generators_of(t)[0].as_integer_ratio() == pair
+
+
+@given(primary_pair())
+def test_children_are_the_triples_of_the_stepped_generators(pair):
+    # children builds each child from the parent's pair in a block of its own, with no check: each must be the triple
+    # of the generator one step down, exactly a PPT, keeping no pair.
+    f = Fraction(*pair)
+    got = children(triple_from_primary(f))
+    assert got == tuple(triple_from_primary(step(f, letter)) for letter in "ABC")
+    for t in got:
+        assert type(t) is PPT and not hasattr(t, "_pair")
 
 
 def test_generator_pair_on_big_triples(big_triples):
@@ -256,7 +268,9 @@ def test_is_derivative_decides_a_miss_in_one_frame():
                 misses += 1
                 assert _python_calls(is_derivative, t, kind) == ["is_derivative"]
             else:
-                assert "anti_derivative" in _python_calls(is_derivative, t, kind)
+                # A hit goes on into anti_derivative's step past the root, with the root it took.
+                calls = _python_calls(is_derivative, t, kind)
+                assert "_anti_derivative" in calls and "anti_derivative" not in calls
     assert misses > 0
 
 
@@ -364,6 +378,19 @@ def test_square_screen_spares_most_misses_their_isqrt(monkeypatch, by_hypotenuse
                 hits += 1
                 assert disc in roots
     assert hits > 0 and 0 < reached <= misses // 10
+
+
+def test_a_hit_takes_one_root(monkeypatch, big_triples):
+    # is_derivative passes the root of a hit's discriminant on, so a derivative of either kind, which keeps its
+    # generator pair, costs one isqrt in all: the one of its discriminant.
+    isqrt, roots = math.isqrt, []
+    monkeypatch.setattr(math, "isqrt", lambda n: roots.append(n) or isqrt(n))
+    for t in big_triples:
+        for kind, sign in (DerivativeKind.MAJOR, 1), (DerivativeKind.MINOR, -1):
+            d = derivative(t, kind)
+            roots.clear()
+            assert is_derivative(d, kind) == t
+            assert roots == [d.c - sign * 3 * d.b]
 
 
 def _square_root_or_none(disc: int) -> int | None:
