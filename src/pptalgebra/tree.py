@@ -411,15 +411,15 @@ def _level_pairs(n: int) -> Iterator[tuple[int, int]]:
 def _child_triples(parents: Iterable[tuple[int, int]]) -> Iterator[PPT]:
     # The A, B and C child triples of each pair, in order, one block each.  These blocks and iter_by_hypotenuse copy
     # the child map of _child_pairs, the sides of _primary_triple and _proven(PPT, ...), to save a Python call and a
-    # tuple per triple: a change to any of those three must be made in each block and in iter_by_hypotenuse too.  The
-    # sides go in by plain slot stores on the layout twin _OpenPPT, which then becomes a PPT, so every triple yielded
-    # is exactly a PPT; it keeps no pair.
-    new = object.__new__
+    # tuple per triple: a change to any of those three must be made in each block and in iter_by_hypotenuse too.  Each
+    # triple is an empty _OpenPPT(), a PPT subclass that adds no slots and has object's __init__, __setattr__ and
+    # __delattr__, so the call and the three plain slot stores run in C; then it becomes its base PPT, so every triple
+    # yielded is exactly a PPT; it keeps no pair.
     for q, p in parents:
         qq, pp = q * q, p * p
         r = p + 2 * q
         rr = r * r
-        t = new(_OpenPPT)
+        t = _OpenPPT()
         t.a = rr - qq
         t.b = 2 * q * r
         t.c = rr + qq
@@ -427,7 +427,7 @@ def _child_triples(parents: Iterable[tuple[int, int]]) -> Iterator[PPT]:
         yield t
         r = 2 * p + q
         rr = r * r
-        t = new(_OpenPPT)
+        t = _OpenPPT()
         t.a = rr - pp
         t.b = 2 * p * r
         t.c = rr + pp
@@ -435,7 +435,7 @@ def _child_triples(parents: Iterable[tuple[int, int]]) -> Iterator[PPT]:
         yield t
         r = 2 * p - q
         rr = r * r
-        t = new(_OpenPPT)
+        t = _OpenPPT()
         t.a = rr - pp
         t.b = 2 * p * r
         t.c = rr + pp
@@ -474,11 +474,11 @@ def iter_by_hypotenuse(bound: int) -> Iterator[PPT]:
     """
     if bound < 5:
         return
-    new = object.__new__
     q, p, stack = 1, 2, []
     while True:
-        qq, pp, b = q * q, p * p, 2 * p * q  # _primary_triple(q, p), with no call, built as in _child_triples' blocks
-        t = new(_OpenPPT)
+        # _primary_triple(q, p) with no Python call: an empty _OpenPPT() made a PPT, as in _child_triples' blocks.
+        qq, pp, b = q * q, p * p, 2 * p * q
+        t = _OpenPPT()
         t.a = pp - qq
         t.b = b
         t.c = pp + qq

@@ -177,10 +177,17 @@ def _proven(cls: type, *values: object):
     return record
 
 
-class _OpenPPT:
-    # PPT's slots without its frozen __setattr__.  A hot path stores proven sides on one of these by plain
-    # attribute stores, then sets its __class__ to PPT, which CPython allows between types of the same slots.
-    __slots__ = PPT.__slots__
+class _OpenPPT(PPT):
+    # A subclass of PPT that adds no slots, for a hot path: _OpenPPT() takes no arguments and makes an empty record,
+    # the hot path stores proven sides on it by plain attribute stores, then sets its __class__ to PPT, which CPython
+    # allows from a subclass that adds no slots to its base without comparing slot names.  __init__ is object's, so
+    # the class call stays in C and runs no PPT.__init__.  Both attribute hooks are object's: CPython fills the one
+    # setattr slot from __setattr__ and __delattr__ together, so restoring only __setattr__ would leave the frozen
+    # __delattr__ there, and every store would take the generic slot dispatch, several times slower.
+    __slots__ = ()
+    __init__ = object.__init__
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
 
 def _proven_fraction(q: int, p: int) -> Fraction:

@@ -92,6 +92,11 @@ MUTANTS = [
            "_child_triples' middle block builds the C child, so each level repeats its C triples", "killed", TREE),
     Mutant("child-a-leg", "tree.py", "t.a = rr - qq", "t.a = rr - pp",
            "_child_triples' A block takes its odd leg from the parent's p, not its q", "killed", TREE),
+    Mutant("child-a-class", "tree.py", "        t.c = rr + qq\n        t.__class__ = PPT\n", "        t.c = rr + qq\n",
+           "_child_triples' A block yields its _OpenPPT unswapped: a PPT subclass that takes attribute stores",
+           "killed", HOT),
+    Mutant("open-setattr", "triple_core.py", "    __setattr__ = object.__setattr__\n", "",
+           "_OpenPPT inherits PPT's frozen __setattr__, so the tree's first slot store raises", "killed", HOT),
     Mutant("child-pairs-order", "tree.py", CHILD_PAIRS, "".join(reversed(CHILD_PAIRS.splitlines(keepends=True))),
            "_child_pairs yields B before A, so levels below the first come out of left-to-right order", "killed",
            TREE),

@@ -222,9 +222,12 @@ def test_proven_triples_equal_checked_ones(by_hypotenuse):
 
 
 def test_tree_triples_copy_and_pickle_as_ppts():
-    # The tree stores a triple's sides on the slot-for-slot twin _OpenPPT, then makes it a PPT: what it yields
-    # copies and pickles as a PPT.  test_proven_triples_equal_checked_ones compares the same triples with checked ones.
-    assert _OpenPPT.__slots__ == PPT.__slots__
+    # The tree stores a triple's sides on an empty _OpenPPT, a PPT subclass that adds no slots and keeps object's
+    # attribute hooks, then makes it its base PPT: what it yields copies and pickles as a PPT.
+    # test_proven_triples_equal_checked_ones compares the same triples with checked ones.
+    assert _OpenPPT.__bases__ == (PPT,)
+    assert _OpenPPT.__slots__ == () and _OpenPPT.__basicsize__ == PPT.__basicsize__
+    assert _OpenPPT.__setattr__ is object.__setattr__ and _OpenPPT.__delattr__ is object.__delattr__
     built = list(iter_by_hypotenuse(2000)) + enumerate_level(5) + list(walk(4)) + list(children(PPT(3, 4, 5)))
     protocols = range(pickle.HIGHEST_PROTOCOL + 1)
     for t in built:
@@ -234,11 +237,26 @@ def test_tree_triples_copy_and_pickle_as_ppts():
 
 
 def test_no_layout_twin_outlives_a_sweep_pass():
-    # Every _OpenPPT the tree makes becomes a PPT before it is yielded, so a pass leaves none behind.
-    kept = list(iter_by_hypotenuse(10**5))
+    # Every _OpenPPT the tree makes becomes a PPT before it is yielded, so a pass of any builder leaves none behind.
+    # _OpenPPT is a PPT subclass, so a leak shows only by exact type, and as a triple that takes attribute stores.
+    streams = [
+        list(iter_by_hypotenuse(10**5)),
+        enumerate_level(7),
+        list(walk(6)),
+        [u for t in enumerate_level(3) for u in children(t)],
+    ]
     kinds = [type(o) for o in gc.get_objects()]
-    assert kinds.count(PPT) >= len(kept) == 15919
+    sizes = [len(kept) for kept in streams]
+    assert sizes == [15919, 3**7, (3**7 - 1) // 2, 3**4]
+    assert kinds.count(PPT) >= sum(sizes)
     assert _OpenPPT not in kinds
+    for kept in streams:
+        for t in kept[:: len(kept) // 50]:
+            assert type(t) is PPT
+            with pytest.raises(FrozenInstanceError):
+                setattr(t, "a", t.a)
+            with pytest.raises(FrozenInstanceError):
+                delattr(t, "c")
 
 
 def _python_calls(call, *args) -> list[str]:
