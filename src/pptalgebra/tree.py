@@ -14,6 +14,7 @@ import re
 from collections.abc import Iterable, Iterator
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 from .triple_core import PPT, TripleError, _OpenPPT, _assign, _proven, _proven_fraction, _record, _shown
 from .generators import _generator_pair, _primary_pair, _primary_triple, _proper_pair, triple_from_primary
@@ -149,27 +150,16 @@ def step(f: Fraction, letter: str) -> Fraction:
     return apply_path(f, PathCode(((letter, 1),)))
 
 
-def _regress(q: int, p: int, runs: list[tuple[str, int]], floor: int = 0,
-             track: bool = False) -> tuple[int, int, tuple[int, int, int, int]]:
+def _regress(q: int, p: int, runs: list[tuple[str, int]], floor: int = 0) -> tuple[int, int]:
     # Regress q/p by maximal runs while 0 < q < p, a step takes letters and p stays
     # at or above floor (an A or C run is refused whole, a B run is cut letter by
-    # letter); append the runs, bottom first, to `runs`, merging equal letters.
-    # d = p - 2q picks the letter: d > q means A, 0 < d <= q B, else C.  An A run
-    # keeps q and a C run keeps p - q, so each takes one division.  This is the one
-    # inverse step; parent takes one letter by the same rule.
-    # Returns the pair reached and, if track, the matrix that sends (q, p) to it,
-    # else the identity.  Only its column (x, z) on p is updated as it goes: an A or
-    # C run is a row operation, a B run one product by B^-k, which is (-1)^k times
-    # the adjugate of the symmetric B^k.  The column on q then follows from the
-    # pair reached by two exact divisions.  A chunk's matrix stays small; at full
-    # size it would grow like the pair and cost about as much as the regression.
-    # A B run that reaches 32 letters jumps over most of the rest (_b_jump): a
-    # shorter run rarely pays for the test.  B powers commute, so the column takes
-    # the jump's B^-k at the jump and the power of the run's other letters at its
-    # end, which is short after a jump.  An exact pair stops at the root 1/2 (a
-    # step of no letters) or at 1/1, reached only from 1/3.
-    q0, p0 = q, p
-    x, z = 0, 1
+    # letter); append the runs, bottom first, to `runs`, merging equal letters, and
+    # return the pair reached.  d = p - 2q picks the letter: d > q means A,
+    # 0 < d <= q B, else C.  An A run keeps q and a C run keeps p - q, so each takes
+    # one division.  This is the one inverse step; parent takes one letter by the
+    # same rule.  A B run that reaches 32 letters jumps over most of the rest
+    # (_b_jump): a shorter run rarely pays for the test.  An exact pair stops at the
+    # root 1/2 (a step of no letters) or at 1/1, reached only from 1/3.
     while 0 < q < p:
         d = p - 2 * q
         if d > q:
@@ -177,23 +167,15 @@ def _regress(q: int, p: int, runs: list[tuple[str, int]], floor: int = 0,
             if (p_up := p - 2 * count * q) < floor:
                 break
             letter, p = "A", p_up
-            if track:
-                z -= 2 * count * x
         elif d > 0:
             if q < floor:
                 break
-            letter, count, jump, q, p = "B", 1, 0, d, q
+            letter, count, q, p = "B", 1, d, q
             while 0 < (d := p - 2 * q) <= q and q >= floor:
                 count, q, p = count + 1, d, q
                 if count == 32:
-                    jump, q, p, (b0, b1, _, b3) = _b_jump(q, p, floor)
+                    jump, q, p = _b_jump(q, p, floor)
                     count += jump
-                    if track:
-                        x, z = (b1 * z - b3 * x, b1 * x - b0 * z) if jump & 1 else (b3 * x - b1 * z, b0 * z - b1 * x)
-            if track:
-                rest = count - jump
-                b0, b1, _, b3 = _B_POWERS[rest] if rest < 65 else _b_power(rest)
-                x, z = (b1 * z - b3 * x, b1 * x - b0 * z) if rest & 1 else (b3 * x - b1 * z, b0 * z - b1 * x)
         else:
             delta = p - q
             count = (q - 1) // delta
@@ -201,22 +183,16 @@ def _regress(q: int, p: int, runs: list[tuple[str, int]], floor: int = 0,
             if count == 0 or p - taken < floor:
                 break
             letter, q, p = "C", q - taken, p - taken
-            if track:
-                dx = count * (z - x)
-                x, z = x - dx, z - dx
         if runs and runs[-1][0] == letter:
             runs[-1] = (letter, runs[-1][1] + count)
         else:
             runs.append((letter, count))
-    if not (track and q0):
-        return q, p, (1, 0, 0, 1)
-    # The matrix sends (q0, p0) to (q, p), so q - x p0 and p - z p0 are multiples of q0.
-    return q, p, ((q - x * p0) // q0, x, (p - z * p0) // q0, z)
+    return q, p
 
 
-def _b_jump(q: int, p: int, floor: int) -> tuple[int, int, int, tuple[int, int, int, int]]:
-    # (k, B^-k (q, p), B^k) for most of the k further letters of the B run at (q, p),
-    # or (0, q, p, the identity).  Each B^-1 multiplies u = p - (1 + sqrt 2) q by
+def _b_jump(q: int, p: int, floor: int) -> tuple[int, int, int]:
+    # (k, B^-k (q, p)) for most of the k further letters of the B run at (q, p),
+    # or (0, q, p).  Each B^-1 multiplies u = p - (1 + sqrt 2) q by
     # -(1 + sqrt 2) and p by about 1/(1 + sqrt 2); the run ends once |u| nears p/5, so about
     # (bits(p) - bits(u)) / 2.543 letters remain.  u times its conjugate, about
     # 1.17 p, is the integer norm p d - q^2.  The norm of the top `width` bits is
@@ -233,18 +209,17 @@ def _b_jump(q: int, p: int, floor: int) -> tuple[int, int, int, tuple[int, int, 
     top_p, top_q = p >> shift, q >> shift
     norm = (top_p * (top_p - 2 * top_q) - top_q * top_q).bit_length()
     if norm > 2 * top_p.bit_length() - 50:  # fewer than about 16 letters to jump
-        return 0, q, p, _B_POWERS[0]
+        return 0, q, p
     if shift and norm <= width + 7:
         norm = (p * (p - 2 * q) - q * q).bit_length() - 2 * shift
     k = int(min(2 * top_p.bit_length() - norm - 9, 2 * (q.bit_length() - floor.bit_length()) - 4) / 2.543)
     if k < 1:  # the floor is near
-        return 0, q, p, _B_POWERS[0]
-    power = _B_POWERS[k] if k < 65 else _b_power(k)
-    b0, b1, _, b3 = power
+        return 0, q, p
+    b0, b1, _, b3 = _B_POWERS[k] if k <= _CHUNK_B_RUN else _b_power(k)
     q_k, p_k = (b1 * p - b3 * q, b1 * q - b0 * p) if k & 1 else (b3 * q - b1 * p, b0 * p - b1 * q)
     if 0 < p_k - 2 * q_k <= q_k:
-        return k, q_k, p_k, power
-    return 0, q, p, _B_POWERS[0]
+        return k, q_k, p_k
+    return 0, q, p
 
 
 # Generators whose p has more bits than this regress in chunks.  Below it a
@@ -264,9 +239,28 @@ def _top_chunk(q: int, p: int) -> tuple[list[tuple[str, int]], int, int]:
     # domain 0 < q < p: the forward maps send (0, 1) onto the disjoint open
     # intervals (0, 1/3), (1/3, 1/2) and (1/2, 1), so a proper preimage fixes
     # every letter above it.  A wrong truncated guess only fails that test.
+    # One walk over the runs, bottom first, builds the column (x, z) on p of the
+    # matrix that undoes them: an A or C run is a row operation, a B run one product
+    # by B^-k, (-1)^k times the adjugate of the symmetric B^k from _B_POWERS.  The
+    # column on q follows from the small pair reached by two exact divisions.
     shift = p.bit_length() - _TOP_BITS
+    q0, p0 = q >> shift, p >> shift
     runs: list[tuple[str, int]] = []
-    w, x, y, z = _regress(q >> shift, p >> shift, runs, _TOP_FLOOR, True)[2]
+    q_s, p_s = _regress(q0, p0, runs, _TOP_FLOOR)
+    if not runs:
+        return runs, q, p
+    x, z = 0, 1
+    for letter, count in runs:
+        if letter == "A":
+            z -= 2 * count * x
+        elif letter == "C":
+            dx = count * (z - x)
+            x, z = x - dx, z - dx
+        else:
+            b0, b1, _, b3 = _B_POWERS[count]
+            x, z = (b1 * z - b3 * x, b1 * x - b0 * z) if count & 1 else (b3 * x - b1 * z, b0 * z - b1 * x)
+    # The matrix sends (q0, p0) to (q_s, p_s), so q_s - x p0 and p_s - z p0 are multiples of q0 > 0.
+    w, y = (q_s - x * p0) // q0, (p_s - z * p0) // q0
     return runs, w * q + x * p, y * q + z * p
 
 
@@ -289,9 +283,9 @@ def locate(f: Fraction) -> PathCode:
     """Path code from the root 1/2 down to the generator f.
 
     Generators past a few thousand bits regress in chunks: a kilobit of top
-    bits is regressed in small ints, which also yields the matrix that undoes
-    its runs, and that matrix is applied to the full pair once, so each
-    full-size pass takes off about 400 bits rather than one run.
+    bits is regressed in small ints, one walk over the runs taken yields the
+    matrix that undoes them, and that matrix is applied to the full pair once,
+    so each full-size pass takes off about 400 bits rather than one run.
     """
     q, p = _proper_pair(f)
     runs: list[tuple[str, int]] = []  # maximal, bottom first
@@ -301,14 +295,14 @@ def locate(f: Fraction) -> PathCode:
             # A refused chunk: regress at full size with the floor min(q, p - q), which admits the first run, so
             # each pass takes one.  An A run keeps q and lands at p >= q + 1, a C run keeps p - q and lands above
             # it, and a B letter needs only q >= floor.
-            q, p, _ = _regress(q, p, runs, min(q, p - q))
+            q, p = _regress(q, p, runs, min(q, p - q))
             continue
         if runs and runs[-1][0] == chunk[0][0]:  # the seam
             chunk[0] = (chunk[0][0], runs[-1][1] + chunk[0][1])
             runs.pop()
         runs += chunk
         q, p = q_up, p_up
-    q, p, _ = _regress(q, p, runs)
+    q, p = _regress(q, p, runs)
     if p != 2:
         raise NotInPrimaryTree(f"{_shown(f, 'generator')} regresses to 1/3; it generates no triple")
     return _proven(PathCode, tuple(reversed(runs)))
@@ -338,8 +332,11 @@ def _b_power(count: int) -> tuple[int, int, int, int]:
     return b - 2 * a, a, a, b
 
 
-# B^k for 0 <= k <= 64, so that a short B run costs a lookup.
-_B_POWERS = tuple(map(_b_power, range(65)))
+# B^k = B^(k-1) B for 0 <= k <= _CHUNK_B_RUN, so a short B run costs a lookup and no chunk doubles Pell numbers.
+# A B letter sends p to q < p / 2, and a chunk's small p falls from below 2^_TOP_BITS to no less than _TOP_FLOOR, so
+# a chunk's B run of k letters ends at _TOP_FLOOR <= p < 2^(_TOP_BITS - k): k <= _TOP_BITS - bits(_TOP_FLOOR) = 423.
+_CHUNK_B_RUN = _TOP_BITS - _TOP_FLOOR.bit_length()
+_B_POWERS = tuple(accumulate(repeat((0, 1, 1, 2), _CHUNK_B_RUN), _mat_mul, initial=(1, 0, 0, 1)))
 
 
 # A leaf product whose last row passes this bound goes onto the binary-splitting stack.
@@ -366,7 +363,7 @@ def _path_pair(runs: Iterable[tuple[str, int]], q: int, p: int) -> tuple[int, in
             dw, dx = count * (y - w), count * (z - x)
             w, x, y, z = w + dw, x + dx, y + dw, z + dx
         else:
-            b0, b1, _, b3 = _B_POWERS[count] if count < 65 else _b_power(count)
+            b0, b1, _, b3 = _B_POWERS[count] if count <= _CHUNK_B_RUN else _b_power(count)
             w, x, y, z = b0 * w + b1 * y, b0 * x + b1 * z, b1 * w + b3 * y, b1 * x + b3 * z
         if y > _LEAF_MAX or z > _LEAF_MAX:
             m, size = (w, x, y, z), 1

@@ -100,6 +100,14 @@ MUTANTS = [
     Mutant("child-pairs-order", "tree.py", CHILD_PAIRS, "".join(reversed(CHILD_PAIRS.splitlines(keepends=True))),
            "_child_pairs yields B before A, so levels below the first come out of left-to-right order", "killed",
            TREE),
+    Mutant("hyp-class", "tree.py", "        t.c = pp + qq\n        t.__class__ = PPT\n", "        t.c = pp + qq\n",
+           "iter_by_hypotenuse yields its _OpenPPT unswapped: a PPT subclass that takes attribute stores", "killed",
+           HOT),
+    Mutant("hyp-child-map", "tree.py", "r, s = 2 * p - q, p + 2 * q", "r, s = 2 * p - q, p + q",
+           "iter_by_hypotenuse's A child is q/(p + q), not q/(p + 2q): it leaves the tree", "killed", TREE),
+    Mutant("chunk-walk-a", "tree.py", "z -= 2 * count * x", "z += 2 * count * x",
+           "_top_chunk's walk undoes an A run with the wrong sign, so accepted chunks land on wrong pairs", "killed",
+           TREE),
     Mutant("anti-integral", "symphonic.py", "    if m * m != disc:\n", "    if m * m > disc:\n",
            "the integral branch taken for a non-square discriminant", "killed", SYMPHONIC),
     Mutant("screen-square-1", "symphonic.py", SQUARE_LOOP, SQUARE_LOOP + "_NOT_SQUARE_MOD[1] = True\n",

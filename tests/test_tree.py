@@ -24,9 +24,11 @@ from pptalgebra import (
     PathCode,
     Root,
     SecondaryRoot,
+    TClass,
     anti_derivative,
     apply_path,
     children,
+    classify,
     corollary_generators,
     derivative,
     derivative_location,
@@ -697,24 +699,34 @@ def regress_by_letters(q: int, p: int, runs: list, floor: int, budget: int = 10*
 
 
 def assert_regress_matches_oracles(q: int, p: int, floor: int, prefix: list) -> None:
-    # The pair and runs of the letter-at-a-time regression, from either a fresh or a filled run list; with track,
-    # the matrix that sends (q, p) to the pair, which is det * adjugate of the forward product of the runs.
+    # The pair and runs of the letter-at-a-time regression, from either a fresh or a filled run list.
     want_runs = list(prefix)
     want = regress_by_letters(q, p, want_runs, floor)
     assume(want is not None)
     got_runs = list(prefix)
-    assert tree._regress(q, p, got_runs, floor) == (*want, (1, 0, 0, 1))
+    assert tree._regress(q, p, got_runs, floor) == want
     assert got_runs == want_runs
     taken: list = []
     want_taken: list = []
     regress_by_letters(q, p, want_taken, floor)
-    q_up, p_up, (w, x, y, z) = tree._regress(q, p, taken, floor, True)
+    q_up, p_up = tree._regress(q, p, taken, floor)
     assert (q_up, p_up) == want and taken == want_taken
-    assert (w * q + x * p, y * q + z * p) == want
-    a, b, c, d = matrix_by_runs(reversed(taken))
+
+
+def assert_chunk_undoes_its_runs(q: int, p: int) -> tuple[list, int, int]:
+    # A chunk takes the runs that _regress takes on the top bits of (q, p), and sends (q, p) to its pair by the
+    # matrix that undoes them: det * adjugate of the forward product of the runs.  Returns what the chunk returned.
+    shift = p.bit_length() - tree._TOP_BITS
+    want_runs: list = []
+    tree._regress(q >> shift, p >> shift, want_runs, tree._TOP_FLOOR)
+    runs, q_up, p_up = tree._top_chunk(q, p)
+    assert runs == want_runs
+    a, b, c, d = matrix_by_runs(reversed(runs))
     det = a * d - b * c
     assert det in (1, -1)
-    assert (w, x, y, z) == (det * d, -det * b, -det * c, det * a)
+    w, x, y, z = det * d, -det * b, -det * c, det * a
+    assert (q_up, p_up) == (w * q + x * p, y * q + z * p)
+    return runs, q_up, p_up
 
 
 @settings(max_examples=60)
@@ -753,32 +765,35 @@ def test_regress_matches_the_letter_at_a_time_regression_on_chunk_tops(shape, se
     f = apply_path(ROOT_GENERATOR, drawn_code(seed, shape, bits))
     shift = f.denominator.bit_length() - tree._TOP_BITS
     assert_regress_matches_oracles(f.numerator >> shift, f.denominator >> shift, tree._TOP_FLOOR, [])
+    assert_chunk_undoes_its_runs(f.numerator, f.denominator)
 
 
 def test_regress_matrix_on_astronomical_runs():
-    # A and C runs of up to 10^30 letters, each one row operation: too long for the letter-at-a-time oracle.
+    # A and C runs of up to 10^30 letters, each one row operation: too long for the letter-at-a-time oracle.  The
+    # runs taken, replayed from the pair reached, give the pair back, and a chunk's pair is the one the matrix that
+    # undoes its runs sends the full pair to.
     for seed in range(5):
         f = apply_path(ROOT_GENERATOR, drawn_code(seed, "astro", 8000))
         q, p = f.numerator, f.denominator
         for top, floor in ((q, p), 0), ((q >> 7000, p >> 7000), 1 << 300):
             taken: list = []
-            q_up, p_up, (w, x, y, z) = tree._regress(*top, taken, floor, True)
-            assert (w * top[0] + x * top[1], y * top[0] + z * top[1]) == (q_up, p_up)
+            q_up, p_up = tree._regress(*top, taken, floor)
             a, b, c, d = matrix_by_runs(reversed(taken))
-            assert (w, x, y, z) == tuple((a * d - b * c) * m for m in (d, -b, -c, a))
+            assert (a * q_up + b * p_up, c * q_up + d * p_up) == top
+        assert assert_chunk_undoes_its_runs(q, p)[0]
 
 
 def test_regress_of_a_top_whose_q_truncates_to_zero(chunks):
     # After an A run of 2^1100 letters q/p is under 2^-1100, so a chunk's top bits hold q = 0: the regression
-    # takes no step and returns the identity, and locate falls back to one full-size run.
+    # takes no step, the chunk returns the pair it was given, and locate falls back to one full-size run.
     code = drawn_code(5, "mixed", 8000) + PathCode((("A", 2**1100),))
     q, p = apply_path(ROOT_GENERATOR, code).as_integer_ratio()
     shift = p.bit_length() - tree._TOP_BITS
     assert q >> shift == 0
-    for track in False, True:
-        taken: list = []
-        assert tree._regress(0, p >> shift, taken, tree._TOP_FLOOR, track) == (0, p >> shift, (1, 0, 0, 1))
-        assert taken == []
+    taken: list = []
+    assert tree._regress(0, p >> shift, taken, tree._TOP_FLOOR) == (0, p >> shift)
+    assert taken == []
+    assert assert_chunk_undoes_its_runs(q, p) == ([], q, p)
     assert locate(Fraction(q, p)) == locate_by_runs(Fraction(q, p)) == code
     assert (0, False) in chunks
 
@@ -801,9 +816,9 @@ def assert_refused_chunk_step_takes_the_run_ending_there(q: int, p: int) -> int:
     # After a refused chunk locate regresses (q, p) at full size with the floor min(q, p - q): it takes the run
     # that ends at q/p and at most one letter more, a whole run or a B letter.  Returns the letters taken more.
     runs: list = []
-    q_got, p_got, matrix = tree._regress(q, p, runs, min(q, p - q))
+    q_got, p_got = tree._regress(q, p, runs, min(q, p - q))
     letter, count, q_up, p_up = up_one_run(q, p)
-    assert matrix == (1, 0, 0, 1) and p_got < p
+    assert p_got < p
     assert runs[0] == (letter, count) and len(runs) <= 2
     if len(runs) == 2:
         letter, count, q_up, p_up = up_one_run(q_up, p_up)
@@ -834,8 +849,9 @@ def test_a_refused_chunk_step_takes_a_run_past_huge_runs_and_next_to_boundaries(
 
 
 def test_b_power_table_holds_b_powers():
+    # One entry per B run a chunk can take: each letter at least halves p, from under 2^_TOP_BITS to _TOP_FLOOR.
     assert tree._B_POWERS[0] == (1, 0, 0, 1)
-    assert tree._B_POWERS == tuple(map(tree._b_power, range(65)))
+    assert tree._B_POWERS == tuple(map(tree._b_power, range(tree._TOP_BITS - tree._TOP_FLOOR.bit_length() + 1)))
 
 
 def test_b_power_matches_matrix_squaring():
@@ -892,35 +908,43 @@ def test_b_jump_lands_inside_the_run_with_few_letters_left():
         for floor in [0] + [p_i for _, p_i in pairs]:
             for start, (q, p) in enumerate(pairs):
                 left = sum(1 for q_i, _ in pairs[start:-1] if q_i >= floor)
-                k, q_k, p_k, power = tree._b_jump(q, p, floor)
-                assert power == tree._b_power(k)
+                k, q_k, p_k = tree._b_jump(q, p, floor)
                 assert (q_k, p_k) == pairs[start + k]
                 assert k == 0 or (0 < p_k - 2 * q_k <= q_k and q_k >= floor and left - k <= 4)
                 assert k > 0 or floor or left < 24
 
 
-@pytest.mark.parametrize("counts,shifted", [((97, 150), True), ((97, 200, 1000, 4000), False)])
+@pytest.mark.parametrize("counts,shifted", [((97, 150, len(tree._B_POWERS) - 1), True),
+                                            ((97, 200, 1000, 4000), False)])
 def test_a_tracked_regression_takes_one_b_power_per_long_b_run(monkeypatch, counts, shifted):
-    # A jump's B^k goes into the tracked column at the jump, and the run's other letters, few after a jump, are
-    # read from _B_POWERS at its end: at most one _b_power call per B run of 65 or more letters, on a chunk's top
-    # bits (shifted) as on a full pair, and the matrix is still the one the runs multiply out to.
+    # Every B run a chunk takes, the longest the table holds too, reads its power from _B_POWERS: the chunks that
+    # take a code's top bits (shifted), one after another as locate takes them, make no _b_power call, and each
+    # chunk's pair is the one the matrix that undoes its runs sends the full pair to.  A full-size regression makes
+    # at most one call per B run of 65 or more letters, and only for a jump past the table.
     code = drawn_code(1, "mixed", 3000 if shifted else 200)
     for count in counts:
         code = code + PathCode((("B", count),)) + PathCode.parse("C A")
     q, p = apply_path(ROOT_GENERATOR, code).as_integer_ratio()
-    shift, floor = (p.bit_length() - tree._TOP_BITS, tree._TOP_FLOOR) if shifted else (0, 0)
-    q, p = q >> shift, p >> shift
     calls = []
     power = tree._b_power
     monkeypatch.setattr(tree, "_b_power", lambda count: calls.append(count) or power(count))
     taken: list = []
-    q_up, p_up, (w, x, y, z) = tree._regress(q, p, taken, floor, True)
-    long_runs = [count for letter, count in taken if letter == "B" and count >= 65]  # shorter ones use the table
+    if shifted:
+        while p.bit_length() > tree._TOP_BITS:
+            chunk, q, p = assert_chunk_undoes_its_runs(q, p)
+            assert chunk and 0 < q < p
+            if taken and taken[-1][0] == chunk[0][0]:
+                chunk[0] = (chunk[0][0], taken.pop()[1] + chunk[0][1])
+            taken += chunk
+        assert calls == []
+    else:
+        q_up, p_up = tree._regress(q, p, taken, 0)
+        a, b, c, d = matrix_by_runs(reversed(taken))
+        assert (a * q_up + b * p_up, c * q_up + d * p_up) == (q, p)
+        assert len(calls) <= sum(1 for letter, count in taken if letter == "B" and count >= 65)
+        assert all(count > tree._CHUNK_B_RUN for count in calls)
+    long_runs = [count for letter, count in taken if letter == "B" and count >= 65]
     assert long_runs == list(reversed(counts))
-    assert len(calls) <= len(long_runs)
-    assert (w * q + x * p, y * q + z * p) == (q_up, p_up)
-    a, b, c, d = matrix_by_runs(reversed(taken))
-    assert (w, x, y, z) == tuple((a * d - b * c) * m for m in (d, -b, -c, a))
 
 
 @pytest.mark.parametrize("count", [1000, 4000, 4719, 10**4, 33_333, 10**5])
@@ -956,6 +980,40 @@ def test_locate_takes_a_long_b_run_in_a_few_steps():
     f = apply_path(ROOT_GENERATOR, PathCode.parse("B^4000"))
     assert f.denominator.bit_length() < tree._CHUNK_FROM_BITS
     assert package_lines(locate, f) < 400
+
+
+# --------------------------------------------------------- derivative towers
+
+
+def climb_tower(kinds) -> int:
+    """Derivatives of (3, 4, 5) of the given kinds in turn until c passes 2^16 bits, each step checked by the
+    anti-derivative, PPT()'s own checks, a locate round trip and its factor class; returns the steps taken."""
+    t = make_ppt(3, 4, 5)
+    for step, kind in enumerate(kinds, 1):
+        d = derivative(t, kind)
+        assert anti_derivative(d, kind).integral == t
+        assert is_derivative(d, kind) == t
+        assert make_ppt(*d.sides()) == d
+        g = generators_of(d)[0]
+        assert apply_path(ROOT_GENERATOR, locate(g)) == g
+        assert classify(d) is (TClass.T4 if step == 1 else TClass.T6)
+        t = d
+        if t.c.bit_length() > 1 << 16:
+            return step
+    raise AssertionError(f"{len(kinds)} steps stayed at {t.c.bit_length()} bits")
+
+
+@pytest.mark.parametrize("kind", list(DerivativeKind))
+def test_derivative_towers_round_trip_past_the_chunk_size(chunks, kind):
+    # Each step doubles the bits of c, so 16 steps pass 2^16 bits, and the last generators regress in chunks.
+    assert climb_tower([kind] * 20) <= 16
+    assert any(accepted for _, accepted in chunks)
+
+
+@settings(max_examples=5)
+@given(st.lists(st.sampled_from(list(DerivativeKind)), min_size=20, max_size=20))
+def test_derivative_towers_of_drawn_kinds_round_trip(kinds):
+    climb_tower(kinds)
 
 
 # ----------------------------------------------------------------- children
