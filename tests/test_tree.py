@@ -917,10 +917,12 @@ def test_b_jump_lands_inside_the_run_with_few_letters_left():
 @pytest.mark.parametrize("counts,shifted", [((97, 150, len(tree._B_POWERS) - 1), True),
                                             ((97, 200, 1000, 4000), False)])
 def test_a_tracked_regression_takes_one_b_power_per_long_b_run(monkeypatch, counts, shifted):
-    # Every B run a chunk takes, the longest the table holds too, reads its power from _B_POWERS: the chunks that
-    # take a code's top bits (shifted), one after another as locate takes them, make no _b_power call, and each
-    # chunk's pair is the one the matrix that undoes its runs sends the full pair to.  A full-size regression makes
-    # at most one call per B run of 65 or more letters, and only for a jump past the table.
+    # Every B run a chunk takes reads its power from _B_POWERS: the chunks that take a code's top bits (shifted),
+    # one after another as locate takes them, make no _b_power call, each takes no B run longer than the table
+    # holds, and each chunk's pair is the one the matrix that undoes its runs sends the full pair to.  A run as
+    # long as the table splits across chunks, which take a few hundred letters each, so the table's top entries
+    # are not read here.  A full-size regression makes at most one call per B run of 65 or more letters, and only
+    # for a jump past the table.
     code = drawn_code(1, "mixed", 3000 if shifted else 200)
     for count in counts:
         code = code + PathCode((("B", count),)) + PathCode.parse("C A")
@@ -933,6 +935,7 @@ def test_a_tracked_regression_takes_one_b_power_per_long_b_run(monkeypatch, coun
         while p.bit_length() > tree._TOP_BITS:
             chunk, q, p = assert_chunk_undoes_its_runs(q, p)
             assert chunk and 0 < q < p
+            assert max((count for letter, count in chunk if letter == "B"), default=0) <= tree._CHUNK_B_RUN
             if taken and taken[-1][0] == chunk[0][0]:
                 chunk[0] = (chunk[0][0], taken.pop()[1] + chunk[0][1])
             taken += chunk
