@@ -14,7 +14,7 @@ import re
 from collections.abc import Iterable, Iterator
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, takewhile
 
 from .triple_core import PPT, TripleError, _OpenPPT, _assign, _proven, _proven_fraction, _record, _shown
 from .generators import _generator_pair, _primary_pair, _primary_triple, _proper_pair, triple_from_primary
@@ -62,14 +62,29 @@ _CODE_PREFIX_RE = re.compile(r"(?:[ \t\n\r\f\v]*[ABC](?:\^[0-9]+)?)*[ \t\n\r\f\v
 # Longest code printed letter-by-letter; anything longer renders run-length.
 _MAX_EXPANDED_LETTERS = 10_000
 
+# A run of fewer than _SHARED_RUN letters is held as the one shared tuple _RUNS[letter][count], so a code holds 8
+# bytes for it, not the 64 of a pointer and a tuple of its own.  On a random generator's path about one run in k has
+# k or more letters (1.6% of 220,627 runs reach 64, on 20 random 20,000-bit generators), so the bound 64 holds a run
+# in about 9 bytes on average for 192 shared tuples, about 12 KB; a larger bound saves under a byte a run.
+_SHARED_RUN = 64
+_RUNS = {letter: tuple((letter, count) for count in range(_SHARED_RUN)) for letter in "ABC"}
+
+
+def _run(letter: str, count: int) -> tuple[str, int]:
+    # The run (letter, count) for a count >= 1, shared when short; a count of an int subclass is stored as a plain int.
+    # _regress copies this rule into its loop, to save a Python call per run: a change here must be made there too.
+    return _RUNS[letter][count] if count < _SHARED_RUN else (letter, int(count))
+
 
 @_record
 class PathCode:
     """A word over {A, B, C}, stored as maximal (letter, count) runs.
 
-    The empty code addresses the root.  Counts are exact integers, so codes
+    The empty code addresses the root.  Counts are exact plain ints, so codes
     like C^129858761423 are first-class values; only printing and letters()
-    care about materializability.
+    care about materializability.  A run of fewer than 64 letters is one
+    tuple shared by every code that has it, so a long code of short runs
+    holds about 8 bytes a run.
     """
 
     runs: tuple[tuple[str, int], ...]
@@ -86,9 +101,8 @@ class PathCode:
             if count == 0:
                 continue
             if merged and merged[-1][0] == letter:
-                merged[-1] = (letter, merged[-1][1] + count)
-            else:
-                merged.append((letter, count))
+                count += merged.pop()[1]
+            merged.append(_run(letter, count))
         _assign(self, tuple(merged))
 
     @classmethod
@@ -110,7 +124,7 @@ class PathCode:
     def __add__(self, other: "PathCode") -> "PathCode":
         left, right = self.runs, other.runs
         if left and right and left[-1][0] == right[0][0]:
-            left, right = left[:-1], ((left[-1][0], left[-1][1] + right[0][1]),) + right[1:]
+            left, right = left[:-1], (_run(left[-1][0], left[-1][1] + right[0][1]),) + right[1:]
         return _proven(PathCode, left + right)
 
     def __mul__(self, times: int) -> "PathCode":
@@ -123,8 +137,8 @@ class PathCode:
             return _proven(PathCode, runs * times)
         # Each copy's last run meets the next copy's first run of the same letter: one run per seam.
         if len(runs) == 1:
-            return _proven(PathCode, ((runs[0][0], runs[0][1] * times),))
-        seam = ((runs[0][0], runs[-1][1] + runs[0][1]),)
+            return _proven(PathCode, (_run(runs[0][0], runs[0][1] * times),))
+        seam = (_run(runs[0][0], runs[-1][1] + runs[0][1]),)
         return _proven(PathCode, runs[:-1] + (seam + runs[1:-1]) * (times - 1) + runs[-1:])
 
     def letters(self) -> str:
@@ -159,7 +173,10 @@ def _regress(q: int, p: int, runs: list[tuple[str, int]], floor: int = 0) -> tup
     # one division.  This is the one inverse step; parent takes one letter by the
     # same rule.  A B run that reaches 32 letters jumps over most of the rest
     # (_b_jump): a shorter run rarely pays for the test.  An exact pair stops at the
-    # root 1/2 (a step of no letters) or at 1/1, reached only from 1/3.
+    # root 1/2 (a step of no letters) or at 1/1, reached only from 1/3.  Each run is
+    # made by _run's rule, copied here to save a Python call per run: a change to
+    # that rule must be made here too.
+    shared, bound = _RUNS, _SHARED_RUN
     while 0 < q < p:
         d = p - 2 * q
         if d > q:
@@ -184,9 +201,8 @@ def _regress(q: int, p: int, runs: list[tuple[str, int]], floor: int = 0) -> tup
                 break
             letter, q, p = "C", q - taken, p - taken
         if runs and runs[-1][0] == letter:
-            runs[-1] = (letter, runs[-1][1] + count)
-        else:
-            runs.append((letter, count))
+            count += runs.pop()[1]
+        runs.append(shared[letter][count] if count < bound else (letter, count))
     return q, p
 
 
@@ -298,7 +314,7 @@ def locate(f: Fraction) -> PathCode:
             q, p = _regress(q, p, runs, min(q, p - q))
             continue
         if runs and runs[-1][0] == chunk[0][0]:  # the seam
-            chunk[0] = (chunk[0][0], runs[-1][1] + chunk[0][1])
+            chunk[0] = _run(chunk[0][0], runs[-1][1] + chunk[0][1])
             runs.pop()
         runs += chunk
         q, p = q_up, p_up
@@ -333,10 +349,12 @@ def _b_power(count: int) -> tuple[int, int, int, int]:
 
 
 # B^k = B^(k-1) B for 0 <= k <= _CHUNK_B_RUN, so a short B run costs a lookup and no chunk doubles Pell numbers.
-# A B letter sends p to q < p / 2, and a chunk's small p falls from below 2^_TOP_BITS to no less than _TOP_FLOOR, so
-# a chunk's B run of k letters ends at _TOP_FLOOR <= p < 2^(_TOP_BITS - k): k <= _TOP_BITS - bits(_TOP_FLOOR) = 423.
-_CHUNK_B_RUN = _TOP_BITS - _TOP_FLOOR.bit_length()
-_B_POWERS = tuple(accumulate(repeat((0, 1, 1, 2), _CHUNK_B_RUN), _mat_mul, initial=(1, 0, 0, 1)))
+# A chunk's B run of k letters goes up from (q_k, p_k) to (q_0, p_0) = B^k (q_k, p_k), so p_0 = P(k) q_k + P(k + 1) p_k
+# >= P(k + 1) p_k.  p only falls as a chunk regresses, from below 2^_TOP_BITS, and a B letter is taken only while its
+# new p keeps _TOP_FLOOR, so P(k + 1) _TOP_FLOOR < 2^_TOP_BITS: the table ends at the last such k, 333.
+_B_POWERS = tuple(takewhile(lambda power: power[3] * _TOP_FLOOR < 1 << _TOP_BITS,
+                            accumulate(repeat((0, 1, 1, 2)), _mat_mul, initial=(1, 0, 0, 1))))
+_CHUNK_B_RUN = len(_B_POWERS) - 1
 
 
 # A leaf product whose last row passes this bound goes onto the binary-splitting stack.

@@ -108,6 +108,13 @@ MUTANTS = [
     Mutant("chunk-walk-a", "tree.py", "z -= 2 * count * x", "z += 2 * count * x",
            "_top_chunk's walk undoes an A run with the wrong sign, so accepted chunks land on wrong pairs", "killed",
            TREE),
+    Mutant("run-bound", "tree.py", "return _RUNS[letter][count] if count < _SHARED_RUN else",
+           "return _RUNS[letter][count] if count <= _SHARED_RUN else",
+           "_run reads past the shared table on a run of exactly 64 letters and raises IndexError", "killed", TREE),
+    Mutant("regress-fresh-run", "tree.py", "runs.append(shared[letter][count] if count < bound else (letter, count))",
+           "runs.append((letter, count))",
+           "_regress appends a tuple of its own for each new short run, so a located code holds about 64 bytes a run",
+           "killed", TREE),
     Mutant("anti-integral", "symphonic.py", "    if m * m != disc:\n", "    if m * m > disc:\n",
            "the integral branch taken for a non-square discriminant", "killed", SYMPHONIC),
     Mutant("screen-square-1", "symphonic.py", SQUARE_LOOP, SQUARE_LOOP + "_NOT_SQUARE_MOD[1] = True\n",

@@ -386,6 +386,58 @@ def test_invalid_codes_rejected():
         PathCode((("A", 1.5),))
 
 
+class Count(int):
+    """An int subclass, which PathCode accepts as a run length and must store as a plain int."""
+
+
+def test_run_counts_are_stored_as_plain_ints():
+    for count in (True, Count(1), Count(63), Count(64), Count(2**70)):
+        code = PathCode((("A", count),))
+        assert code.runs == (("A", int(count)),) and type(code.runs[0][1]) is int
+        assert code == PathCode((("A", int(count)),)) and hash(code) == hash(PathCode((("A", int(count)),)))
+    assert repr(PathCode((("A", True),))) == "PathCode(runs=(('A', 1),))"
+    assert type(PathCode((("A", True), ("A", Count(70)))).runs[0][1]) is int
+
+
+def assert_short_runs_shared(code: PathCode) -> None:
+    """The runs are maximal, and every run below the bound is the table's own tuple."""
+    assert_maximal(code)
+    assert all(run is tree._RUNS[run[0]][run[1]] for run in code.runs if run[1] < tree._SHARED_RUN)
+
+
+def test_short_runs_are_shared_tuples():
+    bound = tree._SHARED_RUN
+    assert bound == 64 and all(row[count] == (letter, count) for letter, row in tree._RUNS.items()
+                               for count in range(bound))
+    edges = PathCode(tuple((letter, count) for count in (bound - 1, bound, bound + 1) for letter in "ACB"))
+    assert [count for _, count in edges.runs] == [bound - 1] * 3 + [bound] * 3 + [bound + 1] * 3
+    assert_short_runs_shared(edges)
+    for seed, shape in enumerate(("mixed", "bheavy", "astro")):
+        code = drawn_code(seed, shape, 9000) + edges + drawn_code(seed + 3, shape, 600)
+        located = locate(apply_path(ROOT_GENERATOR, code))
+        assert located == code
+        for made in (code, PathCode(code.runs), PathCode.parse(code.compact()), code + code, code * 3, located):
+            assert_short_runs_shared(made)
+    # Seams that sum to just below, at and just above the bound, in +, *, the constructor and parse.
+    for left, right in ((30, 33), (32, 32), (32, 33)):
+        for letter, other in ("AC", "BA", "CB"):
+            x, y = PathCode(((letter, left),)), PathCode(((letter, right), (other, 1)))
+            z = PathCode(((letter, left), (other, 1), (letter, right)))
+            for made in (x + y, PathCode(x.runs + y.runs), PathCode.parse(f"{x.compact()} {y.compact()}"), z * 2,
+                         PathCode(((letter, 1),)) * (left + right)):
+                assert_short_runs_shared(made)
+                assert left + right in [count for _, count in made.runs]
+
+
+def test_a_located_code_of_short_runs_holds_about_a_pointer_a_run():
+    # A drawn 2^16-bit mixed code regresses in chunks; its 24k runs of one to four letters are all shared, so the
+    # code holds its tuple of pointers, 8 bytes a run.  A tuple of its own for each run would hold about 64.
+    g = apply_path(ROOT_GENERATOR, drawn_code(1, "mixed", 1 << 16))
+    code, held, _ = traced(lambda: locate(g))
+    assert len(code.runs) > 15_000
+    assert held <= 16 * len(code.runs)
+
+
 # ------------------------------------------------------------- single steps
 
 
@@ -849,9 +901,28 @@ def test_a_refused_chunk_step_takes_a_run_past_huge_runs_and_next_to_boundaries(
 
 
 def test_b_power_table_holds_b_powers():
-    # One entry per B run a chunk can take: each letter at least halves p, from under 2^_TOP_BITS to _TOP_FLOOR.
+    # One entry per B run a chunk can take: a run of k letters from p_0 < 2^_TOP_BITS down to p_k >= _TOP_FLOOR has
+    # p_0 >= P(k + 1) p_k, so P(k + 1) _TOP_FLOOR < 2^_TOP_BITS, which holds up to k = 333.
     assert tree._B_POWERS[0] == (1, 0, 0, 1)
-    assert tree._B_POWERS == tuple(map(tree._b_power, range(tree._TOP_BITS - tree._TOP_FLOOR.bit_length() + 1)))
+    assert tree._CHUNK_B_RUN == len(tree._B_POWERS) - 1 == 333
+    assert tree._B_POWERS == tuple(map(tree._b_power, range(334)))
+    assert tree._b_power(333)[3] * tree._TOP_FLOOR < 1 << tree._TOP_BITS <= tree._b_power(334)[3] * tree._TOP_FLOOR
+
+
+@pytest.mark.parametrize("count", [333, 334])
+def test_a_chunk_takes_at_most_the_tables_longest_b_run(monkeypatch, count):
+    # B^count above (1, 2^600), the floor itself: at 333 letters the top has exactly _TOP_BITS bits and the chunk
+    # takes the whole run from its table entry; at 334 the top has more bits, and its truncated run ends above the
+    # floor after fewer letters.  Neither calls _b_power.
+    q, p = tree._path_pair((("B", count),), 1, tree._TOP_FLOOR)
+    assert (p.bit_length() == tree._TOP_BITS) == (count == 333)
+    calls = []
+    monkeypatch.setattr(tree, "_b_power", lambda count: calls.append(count))
+    runs, q_up, p_up = assert_chunk_undoes_its_runs(q, p)
+    assert calls == []
+    assert len(runs) == 1 and runs[0][0] == "B" and runs[0][1] <= 333
+    assert (runs[0][1] == 333 and (q_up, p_up) == (1, tree._TOP_FLOOR)) == (count == 333)
+    assert 0 < q_up < p_up and tree._path_pair(runs, q_up, p_up) == (q, p)
 
 
 def test_b_power_matches_matrix_squaring():
@@ -914,15 +985,14 @@ def test_b_jump_lands_inside_the_run_with_few_letters_left():
                 assert k > 0 or floor or left < 24
 
 
-@pytest.mark.parametrize("counts,shifted", [((97, 150, len(tree._B_POWERS) - 1), True),
+@pytest.mark.parametrize("counts,shifted", [((97, 150, 423), True),
                                             ((97, 200, 1000, 4000), False)])
 def test_a_tracked_regression_takes_one_b_power_per_long_b_run(monkeypatch, counts, shifted):
     # Every B run a chunk takes reads its power from _B_POWERS: the chunks that take a code's top bits (shifted),
-    # one after another as locate takes them, make no _b_power call, each takes no B run longer than the table
-    # holds, and each chunk's pair is the one the matrix that undoes its runs sends the full pair to.  A run as
-    # long as the table splits across chunks, which take a few hundred letters each, so the table's top entries
-    # are not read here.  A full-size regression makes at most one call per B run of 65 or more letters, and only
-    # for a jump past the table.
+    # one after another as locate takes them, make no _b_power call, each takes no B run longer than the 333
+    # letters the table holds, and each chunk's pair is the one the matrix that undoes its runs sends the full pair
+    # to.  The run of 423 letters, longer than the table, splits across chunks.  A full-size regression makes at
+    # most one call per B run of 65 or more letters, and only for a jump past the table.
     code = drawn_code(1, "mixed", 3000 if shifted else 200)
     for count in counts:
         code = code + PathCode((("B", count),)) + PathCode.parse("C A")
@@ -935,7 +1005,7 @@ def test_a_tracked_regression_takes_one_b_power_per_long_b_run(monkeypatch, coun
         while p.bit_length() > tree._TOP_BITS:
             chunk, q, p = assert_chunk_undoes_its_runs(q, p)
             assert chunk and 0 < q < p
-            assert max((count for letter, count in chunk if letter == "B"), default=0) <= tree._CHUNK_B_RUN
+            assert max((count for letter, count in chunk if letter == "B"), default=0) <= 333
             if taken and taken[-1][0] == chunk[0][0]:
                 chunk[0] = (chunk[0][0], taken.pop()[1] + chunk[0][1])
             taken += chunk
