@@ -62,6 +62,10 @@ _CODE_PREFIX_RE = re.compile(r"(?:[ \t\n\r\f\v]*[ABC](?:\^[0-9]+)?)*[ \t\n\r\f\v
 # Longest code printed letter-by-letter; anything longer renders run-length.
 _MAX_EXPANDED_LETTERS = 10_000
 
+# Most runs a product PathCode * times may hold, about 80 MB of shared runs: the longest code any caller here builds
+# by a product, the major derivative location of the n-th Fermat member, has 2n - 1 runs.
+_MAX_RUNS = 10**7
+
 # A run of fewer than _SHARED_RUN letters is held as the one shared tuple _RUNS[letter][count], so a code holds 8
 # bytes for it, not the 64 of a pointer and a tuple of its own.  On a random generator's path about one run in k has
 # k or more letters (1.6% of 220,627 runs reach 64, on 20 random 20,000-bit generators), so the bound 64 holds a run
@@ -133,13 +137,18 @@ class PathCode:
         if times < 0:
             raise ValueError(f"cannot repeat a path code {_shown(times, 'integer')} times")
         runs = self.runs
-        if times < 2 or not runs or runs[0][0] != runs[-1][0]:
-            return _proven(PathCode, runs * times)
+        if not runs:
+            return _proven(PathCode, runs)
         # Each copy's last run meets the next copy's first run of the same letter: one run per seam.
+        seam = times > 1 and runs[0][0] == runs[-1][0]
+        if (size := (len(runs) - seam) * times + seam) > _MAX_RUNS:
+            raise ValueError(f"path code of {_shown(size, 'integer')} runs is too long to build")
+        if not seam:
+            return _proven(PathCode, runs * times)
         if len(runs) == 1:
             return _proven(PathCode, (_run(runs[0][0], runs[0][1] * times),))
-        seam = (_run(runs[0][0], runs[-1][1] + runs[0][1]),)
-        return _proven(PathCode, runs[:-1] + (seam + runs[1:-1]) * (times - 1) + runs[-1:])
+        joined = (_run(runs[0][0], runs[-1][1] + runs[0][1]),)
+        return _proven(PathCode, runs[:-1] + (joined + runs[1:-1]) * (times - 1) + runs[-1:])
 
     def letters(self) -> str:
         """The fully expanded word; refuses codes too long to materialize."""

@@ -7,6 +7,8 @@ import operator
 from enum import Enum
 from fractions import Fraction
 
+from ._bigint import ROOT_FROM_BITS, root_cofactor
+
 __all__ = [
     "PPT", "DivisibilityWitness", "InvalidParity", "NotATriple", "NotPrimitive",
     "TClass", "TripleError", "altitude_kappa", "classify", "divisibility_witness",
@@ -129,15 +131,20 @@ class PPT:
                 raise TripleError(f"sides must be positive integers, got {_shown(side, 'integer', repr)}")
         # The check on the half-size generator pair, kept in _pair for generators._generator_pair: Euclid's
         # parametrization (a, b, c) = (P^2 - Q^2, 2PQ, P^2 + Q^2) with gcd(P, Q) = 1 and a odd, which gives every
-        # PPT with a odd and only those.  It takes two full-size isqrts, two half-size squares (p * p, which CPython
-        # squares faster than 2p times p), a product and a gcd, where the sides' check takes two full products and
-        # a full gcd.  But gcd(a, b) ends after one short division when the legs' difference is short, as on the
-        # Pell line B^k where it is 1: measured at 8k-262k bits, the pair check pays only once the difference has
-        # more than about half the bits of c.  Shorter differences, and every input the pair check refuses, take
-        # the sides' check below, whose errors are the ones raised.
+        # PPT with a odd and only those.  It reads the pair by two full-size isqrts below ROOT_FROM_BITS bits of c,
+        # and by _root_pair's one 2-adic root from there, then takes two half-size squares (p * p, which CPython
+        # squares faster than 2p times p), a product and a half-size gcd, where the sides' check takes two full
+        # products and a full gcd.  A wrong root only fails a check, so the pair is proven by the checks alone.
+        # But gcd(a, b) ends after one short division when the legs' difference is short, as on the Pell line B^k
+        # where it is 1: measured at 8k-262k bits, the pair check pays only once the difference has more than about
+        # half the bits of c.  Shorter differences, and every input the pair check refuses, take the sides' check
+        # below, whose errors are the ones raised.
         if a & 1 and c > a and 2 * (a - b).bit_length() > c.bit_length():
             s, d = c + a, c - a
-            p, q = math.isqrt(s >> 1), math.isqrt(d >> 1)
+            if c.bit_length() < ROOT_FROM_BITS:
+                p, q = math.isqrt(s >> 1), math.isqrt(d >> 1)
+            else:
+                q, p = _root_pair(a, b, c)
             if 2 * (p * p) == s and 2 * (q * q) == d and 2 * p * q == b and math.gcd(p, q) == 1:
                 _setattr(self, "_pair", (q, p))
                 return
@@ -168,6 +175,16 @@ class DivisibilityWitness:
 
     def __init__(self, four_divides_b: bool, three_divides: str, five_divides: str) -> None:
         _assign(self, four_divides_b, three_divides, five_divides)
+
+
+def _root_pair(a: int, b: int, c: int) -> tuple[int, int]:
+    # The (q, p) with c + a = 2p^2, c - a = 2q^2 and b = 2pq that a PPT has, from one root_cofactor: p and q have
+    # opposite parity, so the half that is odd is the odd one's square, and b/2 = pq is its multiple.  Both are below
+    # 2^bits, as p^2 < c.  For other sides, some pair of ints.
+    bits, half = (c.bit_length() + 1) // 2, (c + a) >> 1
+    if half & 1:
+        return root_cofactor(half, b >> 1, bits)[::-1]
+    return root_cofactor((c - a) >> 1, b >> 1, bits)
 
 
 def _proven(cls: type, *values: object):

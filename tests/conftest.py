@@ -1,6 +1,7 @@
 """Shared fixtures and an independent brute-force enumeration oracle."""
 
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -96,3 +97,25 @@ def big_triples() -> list[PPT]:
         family_member(Family(FamilyLine.PYTHAGOREAN, 10**1200)),
         triple_from_primary(apply_path(ROOT_GENERATOR, PathCode.parse("A^1000 B^3000 C^1000"))),
     ]
+
+
+def draw_triple(rng: random.Random, c_bits: int, p_parity: int) -> PPT:
+    """A random primitive triple with c of exactly c_bits bits and p of the given parity, keeping its pair (q, p)."""
+    while True:
+        p = (rng.getrandbits((c_bits + 1) // 2) | 1 << (c_bits - 1) // 2) & -2 | p_parity
+        q = rng.randrange(1, p)
+        if (p + q) % 2 and math.gcd(p, q) == 1 and (p * p + q * q).bit_length() == c_bits:
+            return triple_from_primary(Fraction(q, p))
+
+
+@pytest.fixture(scope="session")
+def random_triple():
+    return draw_triple
+
+
+@pytest.fixture(scope="session")
+def root_triples() -> list[PPT]:
+    """Random triples of 8193 and 16385 bits of c, p even then odd at each size, whose generator pair PPT() reads by
+    one 2-adic root, not by two isqrts: from ROOT_FROM_BITS = 8192 bits of c on."""
+    rng = random.Random(33)
+    return [draw_triple(rng, bits, parity) for bits in (8193, 16385) for parity in (0, 1)]

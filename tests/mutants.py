@@ -43,7 +43,7 @@ class Mutant(NamedTuple):
 
 
 CORE, TREE, SYMPHONIC = ("tests/test_triple_core.py",), ("tests/test_tree.py",), ("tests/test_symphonic.py",)
-HOT = ("tests/test_hot_path.py",)
+HOT, BIGINT = ("tests/test_hot_path.py",), ("tests/test_bigint.py",)
 SQUARE_LOOP = "    _NOT_SQUARE_MOD[_x * _x % 1155] = False\n"
 ROUTE = "if a & 1 and c > a and 2 * (a - b).bit_length() > c.bit_length():"
 CHECKS = "if 2 * (p * p) == s and 2 * (q * q) == d and 2 * p * q == b and math.gcd(p, q) == 1:"
@@ -86,7 +86,7 @@ MUTANTS = [
            "if (p_up := p - 2 * count * q) < 0:", "an A run taken past a chunk's floor", "killed", TREE),
     Mutant("locate-any-chunk", "tree.py", "if not (chunk and 0 < q_up < p_up):", "if not chunk:",
            "a chunk accepted without the in-domain test that proves its letters", "killed", TREE),
-    Mutant("path-times", "tree.py", "if times < 2 or not runs", "if times < 1 or not runs",
+    Mutant("path-times", "tree.py", "seam = times > 1 and", "seam = times > 0 and",
            "one copy has no seam: the seam branch gives runs[:-1] + runs[-1:]", "equivalent", TREE),
     Mutant("child-b", "tree.py", "        r = 2 * p + q\n", "        r = 2 * p - q\n",
            "_child_triples' middle block builds the C child, so each level repeats its C triples", "killed", TREE),
@@ -122,6 +122,11 @@ MUTANTS = [
     Mutant("screen-modulus", "symphonic.py", "if _NOT_SQUARE_MOD[disc % 1155] or", "if _NOT_SQUARE_MOD[disc % 1001] or",
            "is_derivative's residue taken mod 1001, not the table's 1155, refuses square discriminants", "killed",
            SYMPHONIC),
+    Mutant("bigint-lift", "_bigint.py", "k = (k + 1) // 2 + 1", "k = k // 2 + 1",
+           "the lift keeps one bit too few on odd k, so wrong roots send valid triples to the sides' check", "killed",
+           BIGINT + CORE),
+    Mutant("bigint-threshold", "_bigint.py", "ROOT_FROM_BITS = 1 << 13", "ROOT_FROM_BITS = float('inf')",
+           "the kernel is never taken: every pair is read by isqrt, right but slow", "killed", BIGINT),
 ]
 
 

@@ -352,6 +352,28 @@ def test_repeat_of_one_run_is_one_run():
         PathCode.parse("A") * 2.0
 
 
+@pytest.mark.parametrize("times", [5 * 10**18, 10**19, tree._MAX_RUNS // 2 + 1])
+def test_an_oversized_repeat_is_refused_before_it_is_built(times):
+    # The product's runs are counted before any tuple is built: a bare MemoryError or OverflowError is never raised.
+    for text, runs in ("AB", 2 * times), ("ABA", 2 * times + 1):
+        with pytest.raises(ValueError, match=f"^path code of {runs} runs is too long to build$"):
+            PathCode.parse(text) * times
+    assert PathCode() * times == PathCode()
+    assert (PathCode.parse("A^2") * times).runs == (("A", 2 * times),)
+
+
+def test_the_run_cap_admits_every_product_built_here(monkeypatch):
+    # The longest product in the package, the Fermat major derivative location at the largest index the benchmark
+    # asks for; then a cap of 7 runs, which admits a repeat of exactly 7 runs, seams merged, and refuses one more.
+    code = derivative_location(Family(FamilyLine.FERMAT, 22_000), DerivativeKind.MAJOR)
+    assert len(code.runs) == 2 * 22_000 - 1
+    monkeypatch.setattr(tree, "_MAX_RUNS", 7)
+    assert len((PathCode.parse("ABA") * 3).runs) == 7 and len((PathCode.parse("C^2 AB") * 2).runs) == 6
+    for text, times in ("ABA", 4), ("AB", 4), ("C^2 AB", 3):
+        with pytest.raises(ValueError, match="runs is too long to build"):
+            PathCode.parse(text) * times
+
+
 def test_length_and_str():
     code = PathCode.parse("BCCCB A^9")
     assert len(code) == 14

@@ -210,9 +210,9 @@ def assert_checked_as_by_sides(*sides) -> PPT | None:
     return None if validate_by_sides(*sides) else PPT(*sides)
 
 
-def test_valid_triples_keep_their_pair(by_hypotenuse, big_triples):
+def test_valid_triples_keep_their_pair(by_hypotenuse, big_triples, root_triples):
     kept = 0
-    for t in by_hypotenuse + big_triples:
+    for t in by_hypotenuse + big_triples + root_triples:
         checked = PPT(*t.sides())
         assert checked == t and validate_by_sides(*t.sides()) is None
         if keeps_pair(*t.sides()):
@@ -221,11 +221,12 @@ def test_valid_triples_keep_their_pair(by_hypotenuse, big_triples):
         else:
             assert not hasattr(checked, "_pair")
     assert 0 < kept < len(by_hypotenuse)
-    for t in big_triples:
+    for t in big_triples + root_triples:
         assert_checked_as_by_sides(*t.sides())
 
 
-@given(st.integers(2, 2**4096), st.data())
+# p from 2^4096 on gives c of more than 8192 bits, whose pair PPT() reads by a 2-adic root (ROOT_FROM_BITS).
+@given(st.integers(2, 2**4096) | st.integers(2**4096, 2**8192), st.data())
 def test_drawn_triples_keep_their_pair(p, data):
     q = data.draw(st.integers(1, p - 1))
     assume((p + q) % 2 and math.gcd(p, q) == 1)
@@ -254,8 +255,8 @@ def invalid_variants(t: PPT) -> list[tuple[int, int, int]]:
     ]
 
 
-def test_invalid_inputs_raise_as_the_sides_check(by_hypotenuse, big_triples):
-    triples = by_hypotenuse[::50] + big_triples
+def test_invalid_inputs_raise_as_the_sides_check(by_hypotenuse, big_triples, root_triples):
+    triples = by_hypotenuse[::50] + big_triples + root_triples
     rejected = set()
     for t in triples:
         for sides in invalid_variants(t):
