@@ -7,7 +7,6 @@ import re
 from fractions import Fraction
 from numbers import Rational
 
-from ._bigint import ROOT_FROM_BITS
 from .triple_core import PPT, TripleError, _assign, _proven, _proven_fraction, _record, _root_pair, _setattr, _shown
 
 __all__ = [
@@ -143,15 +142,9 @@ class Radii:
 
 def _generator_pair(t: PPT) -> tuple[int, int]:
     # The primary generator q/p of t in lowest terms, with no Fraction and no gcd: the pair PPT() or _primary_triple
-    # kept, else read off t = (p^2 - q^2, 2pq, p^2 + q^2) for coprime q < p, as c + a = 2p^2 and b = 2pq: by an isqrt
-    # and a division below ROOT_FROM_BITS bits of c, and by _root_pair's one 2-adic root from there.
+    # kept, else read off t = (p^2 - q^2, 2pq, p^2 + q^2) for coprime q < p by _root_pair.
     pair = getattr(t, "_pair", None)
-    if pair is not None:
-        return pair
-    if t.c.bit_length() >= ROOT_FROM_BITS:
-        return _root_pair(t.a, t.b, t.c)
-    p = math.isqrt((t.c + t.a) // 2)
-    return t.b // (2 * p), p
+    return _root_pair(t.a, t.b, t.c) if pair is None else pair
 
 
 def _generators(q: int, p: int) -> tuple[Fraction, Fraction]:

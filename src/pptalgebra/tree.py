@@ -255,6 +255,16 @@ _CHUNK_FROM_BITS = 6000
 # entries of the chunk's matrix, so only about the top half stays trustworthy.
 _TOP_BITS = 1024
 _TOP_FLOOR = 1 << 600
+# A chunk regresses its top (q0, p0) as (q0 2^K, p0 2^K + 1), K = _UNIT_BITS: the inverse M of the runs is linear, so
+# it reaches 2^K M(q0, p0) + (x, z), where (x, z) = M(0, 1) is read back rounded to nearest.  With u = F(0, 1) and
+# v = F(1, 1) for the forward product F = M^-1, (x, z) = +-(-u_q, v_q - u_q), and F keeps the cone 0 <= q <= p, so
+# |x|, |z| <= max(u_p, v_p).  The stop (q_s, p_s) has p0 = (p_s - q_s) u_p + q_s v_p.  A last A run maps (u, v) to
+# (u, v + 2ku) and leaves q_s >= p_s / 3; a C run maps it to (u + kv, v) and leaves p_s - q_s >= p_s / 2; a B maps it
+# to (u + v, 2u + v).  So max(u_p, v_p) <= 3 p0 / p_s, which the floor, just under _TOP_FLOOR 2^K, keeps below
+# 2^(K-2) = 2^(_TOP_BITS - 598).  _regress's tests move by at most 4 entries, under 2^K, and the floor sits half a unit
+# low, so off exact ties in the top the runs are those of (q0, p0).
+_UNIT_BITS = _TOP_BITS - _TOP_FLOOR.bit_length() + 5
+_UNIT_HALF = 1 << (_UNIT_BITS - 1)
 
 
 def _top_chunk(q: int, p: int) -> tuple[list[tuple[str, int]], int, int]:
@@ -264,26 +274,16 @@ def _top_chunk(q: int, p: int) -> tuple[list[tuple[str, int]], int, int]:
     # domain 0 < q < p: the forward maps send (0, 1) onto the disjoint open
     # intervals (0, 1/3), (1/3, 1/2) and (1/2, 1), so a proper preimage fixes
     # every letter above it.  A wrong truncated guess only fails that test.
-    # One walk over the runs, bottom first, builds the column (x, z) on p of the
-    # matrix that undoes them: an A or C run is a row operation, a B run one product
-    # by B^-k, (-1)^k times the adjugate of the symmetric B^k from _B_POWERS.  The
-    # column on q follows from the small pair reached by two exact divisions.
+    # The regression yields the column on p of the matrix that undoes the runs
+    # (see _UNIT_BITS), and two exact divisions the column on q.
     shift = p.bit_length() - _TOP_BITS
     q0, p0 = q >> shift, p >> shift
     runs: list[tuple[str, int]] = []
-    q_s, p_s = _regress(q0, p0, runs, _TOP_FLOOR)
+    q_u, p_u = _regress(q0 << _UNIT_BITS, (p0 << _UNIT_BITS) + 1, runs, (_TOP_FLOOR << _UNIT_BITS) - _UNIT_HALF)
     if not runs:
         return runs, q, p
-    x, z = 0, 1
-    for letter, count in runs:
-        if letter == "A":
-            z -= 2 * count * x
-        elif letter == "C":
-            dx = count * (z - x)
-            x, z = x - dx, z - dx
-        else:
-            b0, b1, _, b3 = _B_POWERS[count]
-            x, z = (b1 * z - b3 * x, b1 * x - b0 * z) if count & 1 else (b3 * x - b1 * z, b0 * z - b1 * x)
+    q_s, p_s = (q_u + _UNIT_HALF) >> _UNIT_BITS, (p_u + _UNIT_HALF) >> _UNIT_BITS
+    x, z = q_u - (q_s << _UNIT_BITS), p_u - (p_s << _UNIT_BITS)
     # The matrix sends (q0, p0) to (q_s, p_s), so q_s - x p0 and p_s - z p0 are multiples of q0 > 0.
     w, y = (q_s - x * p0) // q0, (p_s - z * p0) // q0
     return runs, w * q + x * p, y * q + z * p
@@ -308,9 +308,9 @@ def locate(f: Fraction) -> PathCode:
     """Path code from the root 1/2 down to the generator f.
 
     Generators past a few thousand bits regress in chunks: a kilobit of top
-    bits is regressed in small ints, one walk over the runs taken yields the
-    matrix that undoes them, and that matrix is applied to the full pair once,
-    so each full-size pass takes off about 400 bits rather than one run.
+    bits is regressed in small ints, with a unit vector below them that gives
+    the matrix undoing the runs taken, and that matrix is applied to the full
+    pair once, so each full-size pass takes off about 400 bits, not one run.
     """
     q, p = _proper_pair(f)
     runs: list[tuple[str, int]] = []  # maximal, bottom first
@@ -357,10 +357,10 @@ def _b_power(count: int) -> tuple[int, int, int, int]:
     return b - 2 * a, a, a, b
 
 
-# B^k = B^(k-1) B for 0 <= k <= _CHUNK_B_RUN, so a short B run costs a lookup and no chunk doubles Pell numbers.
-# A chunk's B run of k letters goes up from (q_k, p_k) to (q_0, p_0) = B^k (q_k, p_k), so p_0 = P(k) q_k + P(k + 1) p_k
-# >= P(k + 1) p_k.  p only falls as a chunk regresses, from below 2^_TOP_BITS, and a B letter is taken only while its
-# new p keeps _TOP_FLOOR, so P(k + 1) _TOP_FLOOR < 2^_TOP_BITS: the table ends at the last such k, 333.
+# B^k = B^(k-1) B for 0 <= k <= _CHUNK_B_RUN: _b_jump and _path_pair read short B runs here, and no chunk doubles
+# Pell numbers.  A chunk's B run of k letters goes up from (q_k, p_k) to B^k (q_k, p_k), whose p >= P(k + 1) p_k.  p
+# only falls as a chunk regresses, from below 2^_TOP_BITS, and a B letter is taken only while its new p keeps
+# _TOP_FLOOR, so P(k + 1) _TOP_FLOOR < 2^_TOP_BITS: the table ends at the last such k, 333.
 _B_POWERS = tuple(takewhile(lambda power: power[3] * _TOP_FLOOR < 1 << _TOP_BITS,
                             accumulate(repeat((0, 1, 1, 2)), _mat_mul, initial=(1, 0, 0, 1))))
 _CHUNK_B_RUN = len(_B_POWERS) - 1

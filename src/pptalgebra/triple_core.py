@@ -131,20 +131,17 @@ class PPT:
                 raise TripleError(f"sides must be positive integers, got {_shown(side, 'integer', repr)}")
         # The check on the half-size generator pair, kept in _pair for generators._generator_pair: Euclid's
         # parametrization (a, b, c) = (P^2 - Q^2, 2PQ, P^2 + Q^2) with gcd(P, Q) = 1 and a odd, which gives every
-        # PPT with a odd and only those.  It reads the pair by two full-size isqrts below ROOT_FROM_BITS bits of c,
-        # and by _root_pair's one 2-adic root from there, then takes two half-size squares (p * p, which CPython
-        # squares faster than 2p times p), a product and a half-size gcd, where the sides' check takes two full
-        # products and a full gcd.  A wrong root only fails a check, so the pair is proven by the checks alone.
+        # PPT with a odd and only those.  It reads the pair by _root_pair, as _generator_pair does, then takes two
+        # half-size squares (p * p, which CPython squares faster than 2p times p), a product and a half-size gcd,
+        # where the sides' check takes two full products and a full gcd.  A wrong root only fails a check, so the
+        # pair is proven by the checks alone; c <= a fails 2q^2 = c - a or 2pq = b > 0.
         # But gcd(a, b) ends after one short division when the legs' difference is short, as on the Pell line B^k
         # where it is 1: measured at 8k-262k bits, the pair check pays only once the difference has more than about
         # half the bits of c.  Shorter differences, and every input the pair check refuses, take the sides' check
         # below, whose errors are the ones raised.
-        if a & 1 and c > a and 2 * (a - b).bit_length() > c.bit_length():
+        if a & 1 and 2 * (a - b).bit_length() > c.bit_length():
             s, d = c + a, c - a
-            if c.bit_length() < ROOT_FROM_BITS:
-                p, q = math.isqrt(s >> 1), math.isqrt(d >> 1)
-            else:
-                q, p = _root_pair(a, b, c)
+            q, p = _root_pair(a, b, c)
             if 2 * (p * p) == s and 2 * (q * q) == d and 2 * p * q == b and math.gcd(p, q) == 1:
                 _setattr(self, "_pair", (q, p))
                 return
@@ -178,10 +175,15 @@ class DivisibilityWitness:
 
 
 def _root_pair(a: int, b: int, c: int) -> tuple[int, int]:
-    # The (q, p) with c + a = 2p^2, c - a = 2q^2 and b = 2pq that a PPT has, from one root_cofactor: p and q have
-    # opposite parity, so the half that is odd is the odd one's square, and b/2 = pq is its multiple.  Both are below
-    # 2^bits, as p^2 < c.  For other sides, some pair of ints.
-    bits, half = (c.bit_length() + 1) // 2, (c + a) >> 1
+    # The (q, p) with c + a = 2p^2, c - a = 2q^2 and b = 2pq that a PPT has; for other positive sides, some pair of
+    # ints.  Below ROOT_FROM_BITS bits of c, by an isqrt and the division of b by 2p.  From there on, by one
+    # root_cofactor: p and q have opposite parity, so the half that is odd is the odd one's square, and b/2 = pq is
+    # its multiple.  Both are below 2^bits, as p^2 < c.
+    half = (c + a) >> 1
+    if c.bit_length() < ROOT_FROM_BITS:
+        p = math.isqrt(half)
+        return b // (2 * p), p
+    bits = (c.bit_length() + 1) // 2
     if half & 1:
         return root_cofactor(half, b >> 1, bits)[::-1]
     return root_cofactor((c - a) >> 1, b >> 1, bits)

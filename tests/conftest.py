@@ -116,6 +116,6 @@ def random_triple():
 @pytest.fixture(scope="session")
 def root_triples() -> list[PPT]:
     """Random triples of 8193 and 16385 bits of c, p even then odd at each size, whose generator pair PPT() reads by
-    one 2-adic root, not by two isqrts: from ROOT_FROM_BITS = 8192 bits of c on."""
+    one 2-adic root, not by an isqrt: from ROOT_FROM_BITS = 8192 bits of c on."""
     rng = random.Random(33)
     return [draw_triple(rng, bits, parity) for bits in (8193, 16385) for parity in (0, 1)]

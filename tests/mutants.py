@@ -6,7 +6,9 @@ Line coverage cannot show that a test would notice a guard going wrong; a mutant
 mutant below replaces one exact piece of text in one module of src/pptalgebra.  The
 script copies src to a temporary directory, applies the mutant there, runs the test
 files that cover it with -x against the copy, and prints "killed" (a test failed) or
-"survived".  An unmutated copy runs first, as the control.
+"survived".  An unmutated copy runs first, as the control; a mutant whose tests run past
+three times the control's time is stopped and counted as killed, since a mutant can send
+a loop round forever (a chunk read wrong can land on a pair that no step regresses).
 
 A mutant is expected to be killed unless it is marked "equivalent" (a proof, or a
 search, shows it changes no result); an outcome that differs is marked UNEXPECTED.
@@ -45,7 +47,7 @@ class Mutant(NamedTuple):
 CORE, TREE, SYMPHONIC = ("tests/test_triple_core.py",), ("tests/test_tree.py",), ("tests/test_symphonic.py",)
 HOT, BIGINT = ("tests/test_hot_path.py",), ("tests/test_bigint.py",)
 SQUARE_LOOP = "    _NOT_SQUARE_MOD[_x * _x % 1155] = False\n"
-ROUTE = "if a & 1 and c > a and 2 * (a - b).bit_length() > c.bit_length():"
+ROUTE = "if a & 1 and 2 * (a - b).bit_length() > c.bit_length():"
 CHECKS = "if 2 * (p * p) == s and 2 * (q * q) == d and 2 * p * q == b and math.gcd(p, q) == 1:"
 CHILD_PAIRS = "        yield q, p + 2 * q\n        yield p, 2 * p + q\n"
 
@@ -53,12 +55,10 @@ MUTANTS = [
     Mutant("ppt-a-odd", "triple_core.py", ROUTE, ROUTE.replace("a & 1 and ", ""),
            "Euclid's form with an even first leg: twice a swapped triple passes every other check",
            "killed", CORE),
-    Mutant("ppt-c-above-a", "triple_core.py", ROUTE, ROUTE.replace(" and c > a", ""),
-           "c <= a makes (c - a)/2 negative, and isqrt raises ValueError", "killed", CORE),
     Mutant("ppt-p-square", "triple_core.py", CHECKS, CHECKS.replace("2 * (p * p) == s and ", ""),
            "(a + 2, b, c + 2) keeps Q and the floor of P", "killed", CORE),
     Mutant("ppt-q-square", "triple_core.py", CHECKS, CHECKS.replace("2 * (q * q) == d and ", ""),
-           "(a - 2, b, c + 2) keeps P and the floor of Q", "killed", CORE),
+           "(a - 2, b, c + 2) keeps P, and so Q = b // 2P", "killed", CORE),
     Mutant("ppt-b", "triple_core.py", CHECKS, CHECKS.replace("2 * p * q == b and ", ""),
            "(a, b + 2, c) keeps both P and Q", "killed", CORE),
     Mutant("ppt-gcd", "triple_core.py", CHECKS, CHECKS.replace(" and math.gcd(p, q) == 1", ""),
@@ -105,9 +105,15 @@ MUTANTS = [
            HOT),
     Mutant("hyp-child-map", "tree.py", "r, s = 2 * p - q, p + 2 * q", "r, s = 2 * p - q, p + q",
            "iter_by_hypotenuse's A child is q/(p + q), not q/(p + 2q): it leaves the tree", "killed", TREE),
-    Mutant("chunk-walk-a", "tree.py", "z -= 2 * count * x", "z += 2 * count * x",
-           "_top_chunk's walk undoes an A run with the wrong sign, so accepted chunks land on wrong pairs", "killed",
-           TREE),
+    Mutant("chunk-unit-offset", "tree.py",
+           "q_s, p_s = (q_u + _UNIT_HALF) >> _UNIT_BITS, (p_u + _UNIT_HALF) >> _UNIT_BITS",
+           "q_s, p_s = q_u >> _UNIT_BITS, p_u >> _UNIT_BITS",
+           "_top_chunk reads its column without the rounding offset, so a negative entry reads as 2^K less its size",
+           "killed", TREE),
+    Mutant("chunk-unit-bits", "tree.py", "_UNIT_BITS = _TOP_BITS - _TOP_FLOOR.bit_length() + 5",
+           "_UNIT_BITS = _TOP_BITS - _TOP_FLOOR.bit_length() + 2",
+           "K below the proven bound: half a unit is 2^424, under the column entries of 425 bits that C^k and A^k B "
+           "from the floor's pairs have, so their read is wrong", "killed", TREE),
     Mutant("run-bound", "tree.py", "return _RUNS[letter][count] if count < _SHARED_RUN else",
            "return _RUNS[letter][count] if count <= _SHARED_RUN else",
            "_run reads past the shared table on a run of exactly 64 letters and raises IndexError", "killed", TREE),
@@ -130,13 +136,18 @@ MUTANTS = [
 ]
 
 
-def run_tests(src: Path, tests: tuple[str, ...], run: str) -> int:
+def run_tests(src: Path, tests: tuple[str, ...], run: str, timeout: float | None = None) -> int | None:
     # Each run works in its own directory, so Hypothesis keeps no failing example from one mutant for the next.
+    # Returns pytest's exit code, or None for a run stopped at the timeout.
     cwd = src.parent / run
     cwd.mkdir()
     env = {**os.environ, "PYTHONPATH": str(src)}
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *(str(ROOT / t) for t in tests)]
-    return subprocess.run(command, cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    try:
+        return subprocess.run(command, cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                              timeout=timeout).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def main() -> None:
@@ -147,8 +158,10 @@ def main() -> None:
                                env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
         if not found.stdout.startswith(str(src)):
             sys.exit(f"the copy is not the package imported: {found.stdout.strip() or found.stderr.strip()}")
+        start = time.perf_counter()
         if run_tests(src, tuple(sorted({t for m in MUTANTS for t in m.tests})), "control") != 0:
             sys.exit("control: the unmutated copy fails its tests, so no mutant can be judged")
+        timeout = 3 * (time.perf_counter() - start)
         unexpected = 0
         for m in MUTANTS:
             path = src / "pptalgebra" / m.file
@@ -159,13 +172,13 @@ def main() -> None:
                 continue
             path.write_text(original.replace(m.old, m.new))
             start = time.perf_counter()
-            code = run_tests(src, m.tests, m.name)
+            code = run_tests(src, m.tests, m.name, timeout)
             path.write_text(original)
-            outcome = {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+            outcome = {0: "survived", 1: "killed", None: "killed"}.get(code, f"error (pytest exit {code})")
             ok = outcome == ("killed" if m.expected == "killed" else "survived")
             unexpected += not ok
             print(f"{m.name:17} {outcome:9} expected {m.expected:10} {time.perf_counter() - start:5.1f} s"
-                  f"{'' if ok else '  UNEXPECTED'}  {m.why}", flush=True)
+                  f"{' (timed out)' if code is None else ''}{'' if ok else '  UNEXPECTED'}  {m.why}", flush=True)
     print(f"{len(MUTANTS) - unexpected} of {len(MUTANTS)} mutants as expected")
 
 

@@ -79,8 +79,8 @@ def test_a_checked_triple_past_the_threshold_takes_no_isqrt(monkeypatch, root_tr
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_pairs_at_the_threshold(monkeypatch, random_triple, offset):
-    # Below ROOT_FROM_BITS bits of c, PPT() takes two isqrts and a pair read one; from there on, none.  Either way it
-    # keeps the pair the sides give, and a pair-less twin reads the same.
+    # Below ROOT_FROM_BITS bits of c, PPT() and a pair read take one isqrt each, as both read by _root_pair; from there
+    # on, none.  Either way it keeps the pair the sides give, and a pair-less twin reads the same.
     rng, bits = random.Random(offset), ROOT_FROM_BITS + offset
     for parity in (0, 1):
         t = random_triple(rng, bits, parity)
@@ -90,7 +90,7 @@ def test_pairs_at_the_threshold(monkeypatch, random_triple, offset):
         assert checked._pair == _generator_pair(twin) == t._pair
         monkeypatch.undo()
         assert t._pair == pair_by_isqrt(t)
-        assert len(roots) == (0 if bits >= ROOT_FROM_BITS else 3)
+        assert len(roots) == (0 if bits >= ROOT_FROM_BITS else 2)
 
 
 @pytest.mark.parametrize("k", [3300, 40_000])

@@ -157,7 +157,7 @@ def b_run(q: int, p: int, count: int) -> tuple[int, int]:
 
 def matrix_by_runs(runs) -> tuple[int, int, int, int]:
     """One matrix per run, later runs on the left, multiplied by binary splitting; the oracle for the path
-    products of tree._path_pair() and tree._regress()."""
+    products of tree._path_pair() and tree._regress(), and for the column tree._top_chunk() reads."""
 
     def run_matrix(letter, count):
         if letter == "A":
@@ -675,6 +675,66 @@ def test_path_pair_spans_many_leaves():
     assert min(matrix_by_runs(runs)) < 0  # a C run leaves negative entries
 
 
+def assert_unit_column(q: int, p: int, top_chunk=tree._top_chunk) -> tuple[int, int]:
+    # A chunk reads the column on p of the matrix that undoes its runs from its own regression.  (2q, 2p) and
+    # (2q, 2p + 1) have the top bits of (q, p), so their chunks take the same runs, and the difference of the pairs
+    # they return is that column: it must be det * (-b, a) for the forward product (a, b; c, d) of the runs, and each
+    # entry below 2^(_UNIT_BITS - 1), where the rounded read is exact.  Returns the column.
+    runs, q_up, p_up = top_chunk(2 * q, 2 * p)
+    again, q_one, p_one = top_chunk(2 * q, 2 * p + 1)
+    assert runs and again == runs
+    a, b, c, d = matrix_by_runs(reversed(runs))
+    det = a * d - b * c
+    x, z = q_one - q_up, p_one - p_up
+    assert (x, z) == (-det * b, det * a)
+    assert max(abs(x), abs(z)) < 1 << (tree._UNIT_BITS - 1)
+    return x, z
+
+
+@pytest.mark.parametrize("shape", ["mixed", "bheavy", "astro"])
+def test_a_chunk_reads_its_unit_column_from_its_regression(monkeypatch, shape):
+    # Every chunk top that takes runs as locate goes, on drawn codes of each shape: a C run, or a B run of two or more
+    # letters, alone leaves a negative entry, which the rounded read takes back from below a multiple of 2^_UNIT_BITS.
+    columns = []
+    real = tree._top_chunk
+
+    def spy(q, p):
+        chunk = real(q, p)
+        if chunk[0]:
+            columns.append(assert_unit_column(q, p, real))
+        return chunk
+
+    monkeypatch.setattr(tree, "_top_chunk", spy)
+    for seed in range(3):
+        code = drawn_code(seed, shape, 20_000)
+        assert locate(apply_path(ROOT_GENERATOR, code)) == code
+    assert len(columns) > 10 and any(min(column) < 0 for column in columns)
+
+
+def test_unit_columns_of_the_chunks_with_the_largest_products():
+    # Tops whose chunk stops just above the floor after the runs with the largest products: B^333, whose entries are
+    # Pell numbers of 422 bits, the truncated B^334, and C^k and A^k B from the floor's pairs, whose k has about 2^425
+    # and 2^424 letters.  The bound 3 * 2^424 on the column leaves every entry below 2^(_UNIT_BITS - 2).
+    floor, limit = tree._TOP_FLOOR, 1 << tree._TOP_BITS
+    c_k = (limit - 2 - floor) // (floor // 2 + 1)
+    q_s = floor // 3 + 1
+    a_k = ((limit - 1 - 2 * floor) // q_s - 1) // 4
+    tops = [
+        ((("B", 333),), 1, floor, 422),
+        ((("B", 334),), 1, floor, None),
+        ((("C", c_k),), floor // 2, floor + 1, 425),
+        ((("A", a_k), ("B", 1)), q_s, floor, 425),
+    ]
+    for runs, q, p, bits in tops:
+        q, p = tree._path_pair(runs, q, p)
+        x, z = assert_unit_column(q, p)
+        assert max(abs(x), abs(z)) < 1 << (tree._UNIT_BITS - 2)
+        if bits:
+            assert p.bit_length() == tree._TOP_BITS
+            assert tree._top_chunk(q, p)[0] == list(reversed(runs))
+            assert max(abs(x), abs(z)).bit_length() == bits
+
+
 def test_locate_returns_maximal_runs_on_both_sides_of_the_chunk_size(chunks):
     for bits in (tree._CHUNK_FROM_BITS // 2, 4 * tree._CHUNK_FROM_BITS):
         for shape in ("mixed", "bheavy", "astro"):
@@ -717,13 +777,17 @@ def test_generators_straddling_a_letter_boundary(chunks, same_fraction):
 
 
 def test_zero_count_run_in_the_top_bits(chunks, same_fraction):
-    # q/p = 1/2 + 2^-1100 or so: the small pair has p = 2q exactly, a C run of length 0.
+    # q/p = 1/2 + 2^-1100 or so: the small pair has p = 2q exactly, a C run of length 0.  The chunk regresses it
+    # with the unit vector (0, 1) below its bits, just under 1/2, so it guesses one B letter, which the in-domain test
+    # refuses; the full-size step then takes the C, and the next top's q truncates to 0.
     code = drawn_code(7, "mixed", 8000) + PathCode((("A", 2**1100), ("C", 1)))
     f = apply_path(ROOT_GENERATOR, code)
     shift = f.denominator.bit_length() - tree._TOP_BITS
     assert f.denominator >> shift == 2 * (f.numerator >> shift)
+    assert tree._regress(f.numerator >> shift, f.denominator >> shift, [], tree._TOP_FLOOR) == (
+        f.numerator >> shift, f.denominator >> shift)
     assert_navigation_matches_oracles(code, same_fraction)
-    assert chunks[0] == (0, False)
+    assert chunks[:2] == [(1, False), (0, False)]
 
 
 def test_large_secondary_tree_generator_is_not_in_primary_tree(chunks):
@@ -1010,7 +1074,7 @@ def test_b_jump_lands_inside_the_run_with_few_letters_left():
 @pytest.mark.parametrize("counts,shifted", [((97, 150, 423), True),
                                             ((97, 200, 1000, 4000), False)])
 def test_a_tracked_regression_takes_one_b_power_per_long_b_run(monkeypatch, counts, shifted):
-    # Every B run a chunk takes reads its power from _B_POWERS: the chunks that take a code's top bits (shifted),
+    # Every B jump a chunk makes reads its power from _B_POWERS: the chunks that take a code's top bits (shifted),
     # one after another as locate takes them, make no _b_power call, each takes no B run longer than the 333
     # letters the table holds, and each chunk's pair is the one the matrix that undoes its runs sends the full pair
     # to.  The run of 423 letters, longer than the table, splits across chunks.  A full-size regression makes at
