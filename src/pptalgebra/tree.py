@@ -76,7 +76,8 @@ _RUNS = {letter: tuple((letter, count) for count in range(_SHARED_RUN)) for lett
 
 def _run(letter: str, count: int) -> tuple[str, int]:
     # The run (letter, count) for a count >= 1, shared when short; a count of an int subclass is stored as a plain int.
-    # _regress copies this rule into its loop, to save a Python call per run: a change here must be made there too.
+    # _regress and PathCode.__init__ copy this rule into their loops, to save a Python call per run: a change here
+    # must be made in both.
     return _RUNS[letter][count] if count < _SHARED_RUN else (letter, int(count))
 
 
@@ -95,18 +96,23 @@ class PathCode:
 
     def __init__(self, runs: tuple[tuple[str, int], ...] = ()) -> None:
         merged: list[tuple[str, int]] = []
+        shared, bound, last = _RUNS, _SHARED_RUN, None
         for letter, count in runs:
-            if letter not in ("A", "B", "C"):
-                raise ValueError(f"path letter must be A, B or C, got {_shown(letter, 'integer', repr)}")
-            if not isinstance(count, int):
-                raise TypeError(f"run length must be an integer, got {_shown(count, 'integer', repr)} for {letter}")
-            if count < 0:
-                raise ValueError(f"negative run length {_shown(count, 'integer')} for {letter}")
-            if count == 0:
-                continue
-            if merged and merged[-1][0] == letter:
+            # One test passes the common run: a letter A, B or C (by a tuple, which an unhashable letter fails) and a
+            # plain int count of at least 1.  The rest take the checks in turn.  The append copies _run's rule.
+            if not (letter in ("A", "B", "C") and type(count) is int and count > 0):
+                if letter not in ("A", "B", "C"):
+                    raise ValueError(f"path letter must be A, B or C, got {_shown(letter, 'integer', repr)}")
+                if not isinstance(count, int):
+                    raise TypeError(f"run length must be an integer, got {_shown(count, 'integer', repr)} for {letter}")
+                if count < 0:
+                    raise ValueError(f"negative run length {_shown(count, 'integer')} for {letter}")
+                if count == 0:
+                    continue
+            if letter == last:
                 count += merged.pop()[1]
-            merged.append(_run(letter, count))
+            last = letter
+            merged.append(shared[letter][count] if count < bound else (letter, int(count)))
         _assign(self, tuple(merged))
 
     @classmethod
@@ -228,7 +234,7 @@ def _b_jump(q: int, p: int, floor: int) -> tuple[int, int, int]:
     # The cap alone keeps the floor, which the skipped letters need only of q_(k-1) = p_k.
     # Up from a B pair q_(i-1) = 2 q_i + q_(i+1) and p_k <= 3 q_k, so q_0 <= H_(k+1) q_k with
     # H = 1, 3, 7, 17, 41, ...: q loses under 1.2716 k + 0.32 bits.  The cap leaves log2(q / floor)
-    # > 1.2715 k + 1 after bit_length's rounding: enough for k < 6000; a nonzero floor keeps k < 340.
+    # > 1.2715 k + 1 after bit_length's rounding: enough for k < 6000; a chunk's floor keeps k <= _CHUNK_B_RUN.
     width = 96 + p.bit_length() // 32
     shift = max(p.bit_length() - width, 0)
     top_p, top_q = p >> shift, q >> shift
@@ -247,22 +253,25 @@ def _b_jump(q: int, p: int, floor: int) -> tuple[int, int, int]:
     return 0, q, p
 
 
-# Generators whose p has more bits than this regress in chunks.  Below it a
-# full-size pass costs about what a chunk spends per run in small ints.
-_CHUNK_FROM_BITS = 6000
 # A chunk regresses the top _TOP_BITS of (q, p) in small ints and stops before
 # the small p falls below _TOP_FLOOR: the truncation error grows like the
 # entries of the chunk's matrix, so only about the top half stays trustworthy.
-_TOP_BITS = 1024
-_TOP_FLOOR = 1 << 600
+# This is Lehmer's top-digits step (Amer. Math. Monthly 45, 1938); the one width
+# and the floor at 75/128 of it were measured (ROADMAP item 6 has the losing ones).
+_TOP_BITS = 512
+_TOP_FLOOR = 1 << (_TOP_BITS * 75 // 128)
+# Generators whose p has more than two tops of bits regress in chunks: below it a
+# full-size pass costs about what a chunk spends per run (starts of 1024, 1200
+# and 1600 bits measured alike).
+_CHUNK_FROM_BITS = 2 * _TOP_BITS
 # A chunk regresses its top (q0, p0) as (q0 2^K, p0 2^K + 1), K = _UNIT_BITS: the inverse M of the runs is linear, so
 # it reaches 2^K M(q0, p0) + (x, z), where (x, z) = M(0, 1) is read back rounded to nearest.  With u = F(0, 1) and
 # v = F(1, 1) for the forward product F = M^-1, (x, z) = +-(-u_q, v_q - u_q), and F keeps the cone 0 <= q <= p, so
 # |x|, |z| <= max(u_p, v_p).  The stop (q_s, p_s) has p0 = (p_s - q_s) u_p + q_s v_p.  A last A run maps (u, v) to
 # (u, v + 2ku) and leaves q_s >= p_s / 3; a C run maps it to (u + kv, v) and leaves p_s - q_s >= p_s / 2; a B maps it
 # to (u + v, 2u + v).  So max(u_p, v_p) <= 3 p0 / p_s, which the floor, just under _TOP_FLOOR 2^K, keeps below
-# 2^(K-2) = 2^(_TOP_BITS - 598).  _regress's tests move by at most 4 entries, under 2^K, and the floor sits half a unit
-# low, so off exact ties in the top the runs are those of (q0, p0).
+# 2^(K-2) = 2^(_TOP_BITS - _TOP_FLOOR.bit_length() + 3) for any top.  _regress's tests move by at most 4 entries,
+# under 2^K, and the floor sits half a unit low, so off exact ties in the top the runs are those of (q0, p0).
 _UNIT_BITS = _TOP_BITS - _TOP_FLOOR.bit_length() + 5
 _UNIT_HALF = 1 << (_UNIT_BITS - 1)
 
@@ -307,10 +316,10 @@ def parent(f: Fraction) -> tuple[Fraction, str] | Root:
 def locate(f: Fraction) -> PathCode:
     """Path code from the root 1/2 down to the generator f.
 
-    Generators past a few thousand bits regress in chunks: a kilobit of top
-    bits is regressed in small ints, with a unit vector below them that gives
-    the matrix undoing the runs taken, and that matrix is applied to the full
-    pair once, so each full-size pass takes off about 400 bits, not one run.
+    Generators past a kilobit regress in chunks: their top 512 bits are
+    regressed in small ints, with a unit vector below them that gives the
+    matrix undoing the runs taken, and that matrix is applied to the full
+    pair once, so each full-size pass takes off about 200 bits, not one run.
     """
     q, p = _proper_pair(f)
     runs: list[tuple[str, int]] = []  # maximal, bottom first
@@ -319,8 +328,12 @@ def locate(f: Fraction) -> PathCode:
         if not (chunk and 0 < q_up < p_up):
             # A refused chunk: regress at full size with the floor min(q, p - q), which admits the first run, so
             # each pass takes one.  An A run keeps q and lands at p >= q + 1, a C run keeps p - q and lands above
-            # it, and a B letter needs only q >= floor.
-            q, p = _regress(q, p, runs, min(q, p - q))
+            # it, and a B letter needs only q >= floor.  Of the pairs in the domain only (m, 2m), m > 1, takes no
+            # run; a right chunk never lands there, and without this test locate would go round forever.
+            q, p_up = _regress(q, p, runs, min(q, p - q))
+            if p_up == p:
+                raise AssertionError(f"a full-size step took no run from a {p.bit_length()}-bit pair")
+            p = p_up
             continue
         if runs and runs[-1][0] == chunk[0][0]:  # the seam
             chunk[0] = _run(chunk[0][0], runs[-1][1] + chunk[0][1])
@@ -360,7 +373,7 @@ def _b_power(count: int) -> tuple[int, int, int, int]:
 # B^k = B^(k-1) B for 0 <= k <= _CHUNK_B_RUN: _b_jump and _path_pair read short B runs here, and no chunk doubles
 # Pell numbers.  A chunk's B run of k letters goes up from (q_k, p_k) to B^k (q_k, p_k), whose p >= P(k + 1) p_k.  p
 # only falls as a chunk regresses, from below 2^_TOP_BITS, and a B letter is taken only while its new p keeps
-# _TOP_FLOOR, so P(k + 1) _TOP_FLOOR < 2^_TOP_BITS: the table ends at the last such k, 333.
+# _TOP_FLOOR, so P(k + 1) _TOP_FLOOR < 2^_TOP_BITS: the table ends at the last such k, 166.
 _B_POWERS = tuple(takewhile(lambda power: power[3] * _TOP_FLOOR < 1 << _TOP_BITS,
                             accumulate(repeat((0, 1, 1, 2)), _mat_mul, initial=(1, 0, 0, 1))))
 _CHUNK_B_RUN = len(_B_POWERS) - 1

@@ -112,8 +112,8 @@ MUTANTS = [
            "killed", TREE),
     Mutant("chunk-unit-bits", "tree.py", "_UNIT_BITS = _TOP_BITS - _TOP_FLOOR.bit_length() + 5",
            "_UNIT_BITS = _TOP_BITS - _TOP_FLOOR.bit_length() + 2",
-           "K below the proven bound: half a unit is 2^424, under the column entries of 425 bits that C^k and A^k B "
-           "from the floor's pairs have, so their read is wrong", "killed", TREE),
+           "K three below the proven bound: half a unit is 2^212, under the column entries of 213 bits that C^k and "
+           "A^k B from the floor's pairs have at a 512-bit top, so their read is wrong", "killed", TREE),
     Mutant("run-bound", "tree.py", "return _RUNS[letter][count] if count < _SHARED_RUN else",
            "return _RUNS[letter][count] if count <= _SHARED_RUN else",
            "_run reads past the shared table on a run of exactly 64 letters and raises IndexError", "killed", TREE),

@@ -305,13 +305,16 @@ def test_tree_streams_make_no_python_call_per_triple():
 
 
 def test_locate_takes_b_runs_whole():
-    # Below the chunk size, locate makes a bounded number of Python calls plus O(log k) for a B run of k letters:
-    # one B letter per call would make over 2000 calls at k = 1000.
+    # The full-size regression that ends locate makes a bounded number of Python calls plus O(log k) for a B run of
+    # k letters: one B letter per call would make over 2000 calls at k = 1000.  The pairs are driven through
+    # _regress itself, since past the chunk size (at k = 1000) locate would take their tops in chunks.
     for k in (10, 100, 1000):
-        f = apply_path(ROOT_GENERATOR, PathCode.parse(f"A B^{k} C B^{k}"))
-        assert f.denominator.bit_length() < tree._CHUNK_FROM_BITS
-        assert locate(f) == PathCode.parse(f"A B^{k} C B^{k}")
-        assert len(_python_calls(locate, f)) <= 10 + 4 * k.bit_length()
+        code = PathCode.parse(f"A B^{k} C B^{k}")
+        q, p = apply_path(ROOT_GENERATOR, code).as_integer_ratio()
+        assert locate(Fraction(q, p)) == code
+        runs: list = []
+        assert len(_python_calls(tree._regress, q, p, runs)) <= 10 + 4 * k.bit_length()
+        assert runs[::-1] == list(code.runs)
 
 
 def _assert_roots_equal_checked_surds(t: PPT) -> int:

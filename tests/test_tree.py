@@ -325,6 +325,8 @@ def test_adjacent_runs_merge():
 
 def test_zero_runs_vanish():
     assert PathCode((("A", 0), ("B", 1))) == PathCode.parse("B")
+    # The runs on each side of a vanished run merge.
+    assert PathCode((("A", 1), ("B", 0), ("A", 2))).runs == (("A", 3),)
 
 
 def test_repeat():
@@ -406,6 +408,14 @@ def test_invalid_codes_rejected():
         PathCode((("D", 1),))
     with pytest.raises(TypeError):
         PathCode((("A", 1.5),))
+    # The edges of the one test a common run takes: an unhashable letter fails the letter's tuple test, not a
+    # lookup, a float count equal to an int is still no int, and a bad letter is reported before a bad count.
+    with pytest.raises(ValueError, match=re.escape("path letter must be A, B or C, got ['A']")):
+        PathCode(((["A"], 1),))
+    with pytest.raises(TypeError, match="^run length must be an integer, got 1.0 for A$"):
+        PathCode((("A", 1.0),))
+    with pytest.raises(ValueError, match="^path letter must be A, B or C, got 'D'$"):
+        PathCode((("D", 1.5),))
 
 
 class Count(int):
@@ -711,19 +721,28 @@ def test_a_chunk_reads_its_unit_column_from_its_regression(monkeypatch, shape):
     assert len(columns) > 10 and any(min(column) < 0 for column in columns)
 
 
+def longest_b_run_base() -> int:
+    """The p_0 = _TOP_FLOOR 2^j, j >= 0 least, above which the table's longest B run, B^_CHUNK_B_RUN from (1, p_0),
+    reaches a top of exactly _TOP_BITS bits: the floor itself at a 1024-bit top, twice it at a 512-bit one."""
+    reached = tree._b_power(tree._CHUNK_B_RUN)[3] * tree._TOP_FLOOR
+    return tree._TOP_FLOOR << (tree._TOP_BITS - reached.bit_length())
+
+
 def test_unit_columns_of_the_chunks_with_the_largest_products():
-    # Tops whose chunk stops just above the floor after the runs with the largest products: B^333, whose entries are
-    # Pell numbers of 422 bits, the truncated B^334, and C^k and A^k B from the floor's pairs, whose k has about 2^425
-    # and 2^424 letters.  The bound 3 * 2^424 on the column leaves every entry below 2^(_UNIT_BITS - 2).
-    floor, limit = tree._TOP_FLOOR, 1 << tree._TOP_BITS
+    # Tops whose chunk stops just above the floor after the runs with the largest products, with s = _TOP_BITS -
+    # bits(_TOP_FLOOR): B^_CHUNK_B_RUN, whose entries are Pell numbers of s - 1 bits, the truncated B run one letter
+    # longer, and C^k and A^k B from the floor's pairs, whose k has about 2^(s + 2) and 2^(s + 1) letters.  The bound
+    # 3 * 2^(s + 1) on the column leaves every entry below 2^(_UNIT_BITS - 2).
+    floor, limit, base = tree._TOP_FLOOR, 1 << tree._TOP_BITS, longest_b_run_base()
+    span = tree._TOP_BITS - floor.bit_length()
     c_k = (limit - 2 - floor) // (floor // 2 + 1)
     q_s = floor // 3 + 1
     a_k = ((limit - 1 - 2 * floor) // q_s - 1) // 4
     tops = [
-        ((("B", 333),), 1, floor, 422),
-        ((("B", 334),), 1, floor, None),
-        ((("C", c_k),), floor // 2, floor + 1, 425),
-        ((("A", a_k), ("B", 1)), q_s, floor, 425),
+        ((("B", tree._CHUNK_B_RUN),), 1, base, span - 1),
+        ((("B", tree._CHUNK_B_RUN + 1),), 1, base, None),
+        ((("C", c_k),), floor // 2, floor + 1, span + 2),
+        ((("A", a_k), ("B", 1)), q_s, floor, span + 2),
     ]
     for runs, q, p, bits in tops:
         q, p = tree._path_pair(runs, q, p)
@@ -751,10 +770,11 @@ def test_long_b_heavy_code_regresses_in_accepted_chunks(chunks, same_fraction):
     code = drawn_code(2024, "bheavy", 130_000)
     assert sum(count for letter, count in code.runs if letter == "B") >= 10**5
     assert_navigation_matches_oracles(code, same_fraction)
-    # Every chunk that took runs was the true top of the path, and each took off
-    # hundreds of bits: far fewer chunks than the code's 10^5 letters.
+    # Every chunk that took runs was the true top of the path, and on average each took off more than 3/5 of the
+    # bits between its top and its floor: far fewer chunks than the code's 10^5 letters.
     assert chunks and all(accepted for taken, accepted in chunks if taken)
-    assert len(chunks) < 500
+    span = tree._TOP_BITS - tree._TOP_FLOOR.bit_length()
+    assert len(chunks) < 5 * apply_path(ROOT_GENERATOR, code).denominator.bit_length() // (3 * span)
 
 
 def test_generators_straddling_a_letter_boundary(chunks, same_fraction):
@@ -986,28 +1006,64 @@ def test_a_refused_chunk_step_takes_a_run_past_huge_runs_and_next_to_boundaries(
     assert more == {0, 1}
 
 
+def test_a_full_size_step_that_takes_no_run_raises(monkeypatch):
+    # A wrong chunk that lands on an in-domain pair that is not coprime, (m, 2m), leaves a pair whose chunk is
+    # refused and from which the full-size step takes no run: locate must raise, not go round forever.  The _regress
+    # spy stops a locate that would.
+    code = drawn_code(3, "mixed", 20_000)
+    real_chunk, real_regress = tree._top_chunk, tree._regress
+    landed, calls = [], []
+
+    def chunk(q, p):
+        runs, q_up, p_up = real_chunk(q, p)
+        if not landed:
+            landed.append(q_up)
+            return runs, q_up, 2 * q_up
+        return runs, q_up, p_up
+
+    def regress(*args):
+        calls.append(None)
+        if len(calls) > 10**4:
+            raise RuntimeError("locate made 10^4 regressions without ending")
+        return real_regress(*args)
+
+    monkeypatch.setattr(tree, "_top_chunk", chunk)
+    monkeypatch.setattr(tree, "_regress", regress)
+    f = apply_path(ROOT_GENERATOR, code)
+    with pytest.raises(AssertionError) as caught:
+        locate(f)
+    bits = (2 * landed[0]).bit_length()
+    assert bits > tree._CHUNK_FROM_BITS
+    assert str(caught.value) == f"a full-size step took no run from a {bits}-bit pair"
+
+
 def test_b_power_table_holds_b_powers():
     # One entry per B run a chunk can take: a run of k letters from p_0 < 2^_TOP_BITS down to p_k >= _TOP_FLOOR has
-    # p_0 >= P(k + 1) p_k, so P(k + 1) _TOP_FLOOR < 2^_TOP_BITS, which holds up to k = 333.
+    # p_0 >= P(k + 1) p_k, so P(k + 1) _TOP_FLOOR < 2^_TOP_BITS, which holds up to k = _CHUNK_B_RUN, 166 at a 512-bit
+    # top.
+    longest = tree._CHUNK_B_RUN
     assert tree._B_POWERS[0] == (1, 0, 0, 1)
-    assert tree._CHUNK_B_RUN == len(tree._B_POWERS) - 1 == 333
-    assert tree._B_POWERS == tuple(map(tree._b_power, range(334)))
-    assert tree._b_power(333)[3] * tree._TOP_FLOOR < 1 << tree._TOP_BITS <= tree._b_power(334)[3] * tree._TOP_FLOOR
+    assert longest == len(tree._B_POWERS) - 1 == 166
+    assert tree._B_POWERS == tuple(map(tree._b_power, range(longest + 1)))
+    assert (tree._b_power(longest)[3] * tree._TOP_FLOOR < 1 << tree._TOP_BITS
+            <= tree._b_power(longest + 1)[3] * tree._TOP_FLOOR)
 
 
-@pytest.mark.parametrize("count", [333, 334])
-def test_a_chunk_takes_at_most_the_tables_longest_b_run(monkeypatch, count):
-    # B^count above (1, 2^600), the floor itself: at 333 letters the top has exactly _TOP_BITS bits and the chunk
-    # takes the whole run from its table entry; at 334 the top has more bits, and its truncated run ends above the
-    # floor after fewer letters.  Neither calls _b_power.
-    q, p = tree._path_pair((("B", count),), 1, tree._TOP_FLOOR)
-    assert (p.bit_length() == tree._TOP_BITS) == (count == 333)
+@pytest.mark.parametrize("extra", [0, 1])
+def test_a_chunk_takes_at_most_the_tables_longest_b_run(monkeypatch, extra):
+    # B^count above (1, p_0), p_0 = longest_b_run_base() at or just above the floor, with count = _CHUNK_B_RUN +
+    # extra: at the table's longest run the top has exactly _TOP_BITS bits and the chunk takes the whole run from its
+    # table entry; one letter more and the top has more bits, and its truncated run ends above the floor after fewer
+    # letters.  Neither calls _b_power.
+    longest, base = tree._CHUNK_B_RUN, longest_b_run_base()
+    q, p = tree._path_pair((("B", longest + extra),), 1, base)
+    assert (p.bit_length() == tree._TOP_BITS) == (extra == 0)
     calls = []
     monkeypatch.setattr(tree, "_b_power", lambda count: calls.append(count))
     runs, q_up, p_up = assert_chunk_undoes_its_runs(q, p)
     assert calls == []
-    assert len(runs) == 1 and runs[0][0] == "B" and runs[0][1] <= 333
-    assert (runs[0][1] == 333 and (q_up, p_up) == (1, tree._TOP_FLOOR)) == (count == 333)
+    assert len(runs) == 1 and runs[0][0] == "B" and runs[0][1] <= longest
+    assert (runs[0][1] == longest and (q_up, p_up) == (1, base)) == (extra == 0)
     assert 0 < q_up < p_up and tree._path_pair(runs, q_up, p_up) == (q, p)
 
 
@@ -1075,8 +1131,8 @@ def test_b_jump_lands_inside_the_run_with_few_letters_left():
                                             ((97, 200, 1000, 4000), False)])
 def test_a_tracked_regression_takes_one_b_power_per_long_b_run(monkeypatch, counts, shifted):
     # Every B jump a chunk makes reads its power from _B_POWERS: the chunks that take a code's top bits (shifted),
-    # one after another as locate takes them, make no _b_power call, each takes no B run longer than the 333
-    # letters the table holds, and each chunk's pair is the one the matrix that undoes its runs sends the full pair
+    # one after another as locate takes them, make no _b_power call, each takes no B run longer than the
+    # _CHUNK_B_RUN letters the table holds, and each chunk's pair is the one the matrix that undoes its runs sends the full pair
     # to.  The run of 423 letters, longer than the table, splits across chunks.  A full-size regression makes at
     # most one call per B run of 65 or more letters, and only for a jump past the table.
     code = drawn_code(1, "mixed", 3000 if shifted else 200)
@@ -1091,7 +1147,7 @@ def test_a_tracked_regression_takes_one_b_power_per_long_b_run(monkeypatch, coun
         while p.bit_length() > tree._TOP_BITS:
             chunk, q, p = assert_chunk_undoes_its_runs(q, p)
             assert chunk and 0 < q < p
-            assert max((count for letter, count in chunk if letter == "B"), default=0) <= 333
+            assert max((count for letter, count in chunk if letter == "B"), default=0) <= tree._CHUNK_B_RUN
             if taken and taken[-1][0] == chunk[0][0]:
                 chunk[0] = (chunk[0][0], taken.pop()[1] + chunk[0][1])
             taken += chunk
@@ -1134,11 +1190,13 @@ def package_lines(call, *args) -> int:
 
 
 def test_locate_takes_a_long_b_run_in_a_few_steps():
-    # A B run of 4000 letters, under the chunk size, is 32 letters, one jump and a few letters: about 200 lines,
-    # where a loop turn a letter runs about 8,000.
-    f = apply_path(ROOT_GENERATOR, PathCode.parse("B^4000"))
-    assert f.denominator.bit_length() < tree._CHUNK_FROM_BITS
-    assert package_lines(locate, f) < 400
+    # The full-size regression that ends locate takes a B run of 4000 letters as 32 letters, one jump and a few
+    # letters: about 200 lines, where a loop turn a letter runs about 8,000.  The pair is driven through _regress
+    # itself, since at 5088 bits locate would take its top in chunks.
+    q, p = apply_path(ROOT_GENERATOR, PathCode.parse("B^4000")).as_integer_ratio()
+    runs: list = []
+    assert package_lines(tree._regress, q, p, runs) < 400
+    assert runs == [("B", 4000)]
 
 
 # --------------------------------------------------------- derivative towers
