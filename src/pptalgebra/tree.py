@@ -187,7 +187,7 @@ def _regress(q: int, p: int, runs: list[tuple[str, int]], floor: int = 0) -> tup
     # 0 < d <= q B, else C.  An A run keeps q and a C run keeps p - q, so each takes
     # one division.  This is the one inverse step; parent takes one letter by the
     # same rule.  A B run that reaches 32 letters jumps over most of the rest
-    # (_b_jump): a shorter run rarely pays for the test.  An exact pair stops at the
+    # (_b_jump): a shorter run rarely pays for its test, one norm of the pair.  An exact pair stops at the
     # root 1/2 (a step of no letters) or at 1/1, reached only from 1/3.  Each run is
     # made by _run's rule, copied here to save a Python call per run: a change to
     # that rule must be made here too.
@@ -226,24 +226,18 @@ def _b_jump(q: int, p: int, floor: int) -> tuple[int, int, int]:
     # or (0, q, p).  Each B^-1 multiplies u = p - (1 + sqrt 2) q by
     # -(1 + sqrt 2) and p by about 1/(1 + sqrt 2); the run ends once |u| nears p/5, so about
     # (bits(p) - bits(u)) / 2.543 letters remain.  u times its conjugate, about
-    # 1.17 p, is the integer norm p d - q^2.  The norm of the top `width` bits is
-    # off by less than 2^(width + 3): past 2^(width + 7) it gives bits(u) within a
-    # bit, and below, enough letters remain to pay for the full norm.  A jump of
-    # fewer than about 16 letters costs more than the loop.  A landing that is still
-    # a B pair proves every letter skipped: forward B maps (0, 1) into (1/3, 1/2).
+    # 1.17 p, is the integer norm p d - q^2, taken whole: _regress hands the jump at most
+    # _CHUNK_FROM_BITS bits, a chunk's top of _TOP_BITS + _UNIT_BITS or locate's last pass.  A refused
+    # chunk's full-size step never jumps: its floor min(q, p - q) is q on a B pair and stops the run after one letter.
+    # A landing that is still a B pair proves every letter skipped: forward B maps (0, 1) into (1/3, 1/2).
     # The cap alone keeps the floor, which the skipped letters need only of q_(k-1) = p_k.
     # Up from a B pair q_(i-1) = 2 q_i + q_(i+1) and p_k <= 3 q_k, so q_0 <= H_(k+1) q_k with
     # H = 1, 3, 7, 17, 41, ...: q loses under 1.2716 k + 0.32 bits.  The cap leaves log2(q / floor)
     # > 1.2715 k + 1 after bit_length's rounding: enough for k < 6000; a chunk's floor keeps k <= _CHUNK_B_RUN.
-    width = 96 + p.bit_length() // 32
-    shift = max(p.bit_length() - width, 0)
-    top_p, top_q = p >> shift, q >> shift
-    norm = (top_p * (top_p - 2 * top_q) - top_q * top_q).bit_length()
-    if norm > 2 * top_p.bit_length() - 50:  # fewer than about 16 letters to jump
+    norm = (p * (p - 2 * q) - q * q).bit_length()
+    if norm > 2 * p.bit_length() - 40:  # fewer than about 12 letters to jump: the loop takes them faster
         return 0, q, p
-    if shift and norm <= width + 7:
-        norm = (p * (p - 2 * q) - q * q).bit_length() - 2 * shift
-    k = int(min(2 * top_p.bit_length() - norm - 9, 2 * (q.bit_length() - floor.bit_length()) - 4) / 2.543)
+    k = int(min(2 * p.bit_length() - norm - 9, 2 * (q.bit_length() - floor.bit_length()) - 4) / 2.543)
     if k < 1:  # the floor is near
         return 0, q, p
     b0, b1, _, b3 = _B_POWERS[k] if k <= _CHUNK_B_RUN else _b_power(k)

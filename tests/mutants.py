@@ -74,14 +74,16 @@ MUTANTS = [
            "        raise AssertionError(f\"divisibility pattern violated for {t}\")\n",
            "", "a theorem: 4 | b, and 3 and 5 each divide exactly one side of a PPT", "equivalent", CORE),
     Mutant("b-jump-cap", "tree.py",
-           "k = int(min(2 * top_p.bit_length() - norm - 9, 2 * (q.bit_length() - floor.bit_length()) - 4) / 2.543)",
-           "k = int((2 * top_p.bit_length() - norm - 9) / 2.543)",
+           "k = int(min(2 * p.bit_length() - norm - 9, 2 * (q.bit_length() - floor.bit_length()) - 4) / 2.543)",
+           "k = int((2 * p.bit_length() - norm - 9) / 2.543)",
            "the cap alone keeps a jump's landing at or above the floor", "killed", TREE),
     Mutant("b-jump-landing", "tree.py", "    if 0 < p_k - 2 * q_k <= q_k:\n", "    if True:\n",
-           "no jump from 2.3M drawn pairs of B runs, under drawn floors, was refused by this test",
+           "no jump from 2M drawn B pairs of at most 1024 bits (1 to 250 letters left, under drawn floors; "
+           "1.51M jumps) was refused by this test",
            "equivalent", TREE),
     Mutant("b-jump-k-zero", "tree.py", "if k < 1:  # the floor is near", "if k < 0:  # the floor is near",
-           "a k of 0 lands on (q, p) itself with the identity, the refusal's own result", "equivalent", TREE),
+           "a k of 0 lands on (q, p) itself with the identity, the refusal's own result; the cap can make k -1, "
+           "which reads B^166 with the odd rule and lands on -B^-166 (q, p), never a B pair", "equivalent", TREE),
     Mutant("regress-a-floor", "tree.py", "if (p_up := p - 2 * count * q) < floor:",
            "if (p_up := p - 2 * count * q) < 0:", "an A run taken past a chunk's floor", "killed", TREE),
     Mutant("locate-any-chunk", "tree.py", "if not (chunk and 0 < q_up < p_up):", "if not chunk:",

@@ -615,6 +615,20 @@ def chunks(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def b_jumps(monkeypatch):
+    """Spy on _regress's B jumps: the bits of p in each call."""
+    seen = []
+    real = tree._b_jump
+
+    def spy(q, p, floor):
+        seen.append(p.bit_length())
+        return real(q, p, floor)
+
+    monkeypatch.setattr(tree, "_b_jump", spy)
+    return seen
+
+
 def assert_navigation_matches_oracles(code: PathCode, same_fraction) -> None:
     f = apply_path(ROOT_GENERATOR, code)
     same_fraction(f, apply_by_runs(ROOT_GENERATOR, code))
@@ -766,10 +780,12 @@ def test_locate_returns_maximal_runs_on_both_sides_of_the_chunk_size(chunks):
     assert any(accepted for _, accepted in chunks)
 
 
-def test_long_b_heavy_code_regresses_in_accepted_chunks(chunks, same_fraction):
+def test_long_b_heavy_code_regresses_in_accepted_chunks(chunks, b_jumps, same_fraction):
     code = drawn_code(2024, "bheavy", 130_000)
     assert sum(count for letter, count in code.runs if letter == "B") >= 10**5
     assert_navigation_matches_oracles(code, same_fraction)
+    # The B jumps took no pair past a chunk's start: a chunk's top or locate's last pass.
+    assert b_jumps and max(b_jumps) <= tree._CHUNK_FROM_BITS
     # Every chunk that took runs was the true top of the path, and on average each took off more than 3/5 of the
     # bits between its top and its floor: far fewer chunks than the code's 10^5 letters.
     assert chunks and all(accepted for taken, accepted in chunks if taken)
@@ -777,7 +793,7 @@ def test_long_b_heavy_code_regresses_in_accepted_chunks(chunks, same_fraction):
     assert len(chunks) < 5 * apply_path(ROOT_GENERATOR, code).denominator.bit_length() // (3 * span)
 
 
-def test_generators_straddling_a_letter_boundary(chunks, same_fraction):
+def test_generators_straddling_a_letter_boundary(chunks, b_jumps, same_fraction):
     # A huge run sends the pair within 2^-far of 0 or 1, and one more letter puts
     # it next to 1/3 (A or B after C^k) or 1/2 (B or C after A^k).  Past the
     # chunk's top bits the truncated pair cannot tell the sides apart.
@@ -792,8 +808,10 @@ def test_generators_straddling_a_letter_boundary(chunks, same_fraction):
             assert_navigation_matches_oracles(code, same_fraction)
             assert not all(accepted for _, accepted in chunks)
             rejected += sum(1 for taken, accepted in chunks if taken and not accepted)
-    # Some truncated guesses took a wrong letter; only the in-domain test caught them.
+    # Some truncated guesses took a wrong letter; only the in-domain test caught them.  A refused chunk's
+    # full-size step made no B jump: its floor q stops a B run after one letter.
     assert rejected > 0
+    assert all(bits <= tree._CHUNK_FROM_BITS for bits in b_jumps)
 
 
 def test_zero_count_run_in_the_top_bits(chunks, same_fraction):
