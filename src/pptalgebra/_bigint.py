@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-# Bits of c from which a triple's generator pair is read by root_cofactor, not by math.isqrt.  On CPython 3.11 the
-# pair from root_cofactor broke even with two isqrts at about 3-5k bits of c and was 1.4-1.6x as fast at 8k-16k bits
-# (median over 3 random triples of the best of 9); 2^13 leaves a margin above the noisy crossover.
+# Bits of c from which a triple's generator pair is read by root_cofactor; below, by an isqrt and a division.  On
+# CPython 3.11.7, root_cofactor took 1.3-1.8x that route's time at 2k bits of c, 0.75-1.16x at 8k, 0.61-0.99x at
+# 12k and 0.73-0.82x at 32k (3-5 seeds, median over random triples of the best of 9-21): 2^13 is in the noisy crossover.
 ROOT_FROM_BITS = 1 << 13
 
 

@@ -379,9 +379,8 @@ def run(argv: list[str] | None = None) -> int:
     print in full, and the caller's limit is restored on return.
     """
     argv = sys.argv[1:] if argv is None else argv
-    previous = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if previous:
-        sys.set_int_max_str_digits(0)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         try:
             fields = vars(_parser(argv).parse_args(argv))
@@ -401,8 +400,7 @@ def run(argv: list[str] | None = None) -> int:
         print(json.dumps(_wire(payload), indent=2) if as_json else "\n".join(lines))
         return 0
     finally:
-        if previous:
-            sys.set_int_max_str_digits(previous)
+        sys.set_int_max_str_digits(previous)
 
 
 def main() -> None:

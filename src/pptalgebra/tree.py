@@ -143,14 +143,12 @@ class PathCode:
         if times < 0:
             raise ValueError(f"cannot repeat a path code {_shown(times, 'integer')} times")
         runs = self.runs
-        if not runs:
-            return _proven(PathCode, runs)
         # Each copy's last run meets the next copy's first run of the same letter: one run per seam.
-        seam = times > 1 and runs[0][0] == runs[-1][0]
+        seam = times > 1 and len(runs) > 0 and runs[0][0] == runs[-1][0]
         if (size := (len(runs) - seam) * times + seam) > _MAX_RUNS:
             raise ValueError(f"path code of {_shown(size, 'integer')} runs is too long to build")
         if not seam:
-            return _proven(PathCode, runs * times)
+            return _proven(PathCode, runs and runs * times)  # () * times overflows past sys.maxsize
         if len(runs) == 1:
             return _proven(PathCode, (_run(runs[0][0], runs[0][1] * times),))
         joined = (_run(runs[0][0], runs[-1][1] + runs[0][1]),)

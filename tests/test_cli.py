@@ -31,7 +31,10 @@ from pptalgebra.cli import _text, _wire, run
 @pytest.fixture
 def cli(capsys):
     def invoke(*args: str):
+        limit = sys.get_int_max_str_digits()
         code = run(list(args))
+        # run() lifts the digit limit only for its own call, on every exit: 0, 1 (domain errors), 2 (usage) and help.
+        assert sys.get_int_max_str_digits() == limit
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
@@ -413,7 +416,7 @@ def test_codes_longer_than_sys_maxsize(cli):
 
 
 def test_values_past_the_int_digit_limit(cli):
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = sys.get_int_max_str_digits()
     code, raw, _ = cli("path", "B^13100", "--json")
     assert code == 0
     payload = json.loads(raw)
@@ -442,7 +445,15 @@ def test_values_past_the_int_digit_limit(cli):
     assert lines[1] == f"primary generator: {payload['generator']}"
     assert lines[-2:] == ["path: B^13100", "depth: 13100"]
     # run() lifts the digit limit only for its own call.
-    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    assert sys.get_int_max_str_digits() == limit
+    # A caller that lifted the limit itself keeps it lifted.
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, _ = cli("path", "B^13100")
+        assert code == 0 and out.splitlines()[-1] == f"triple: [{', '.join(sides)}]"
+        assert sys.get_int_max_str_digits() == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_json_is_a_single_object(cli):
